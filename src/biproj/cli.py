@@ -23,7 +23,7 @@ from .errors import (
     NotInterior,
     VerificationMismatch,
 )
-from .fields import QQ, field_by_name
+from .fields import QQ, default_field, field_by_name
 from .grid import PointKind, classify_points, corners_and_vertices, is_acm, validate
 from .hilbert import delta, hilbert_acm, puncture_hilbert
 from .oracle import betti_oracle, hilbert_oracle, verify_separator
@@ -246,8 +246,9 @@ def cmd_resolution(args):
 
     mismatch = None
     if args.verify:
-        reference = betti_oracle(grid_final, field)
-        if reference.counters() != table.counters() and (field is None or field.kind == "prime"):
+        oracle_field = field or default_field(grid_final.npoints)
+        reference = betti_oracle(grid_final, oracle_field)
+        if reference.counters() != table.counters() and oracle_field.kind == "prime":
             reference = betti_oracle(grid_final, QQ)  # rule out unlucky prime
         mismatch = betti_diff(table, reference)
         obj["verification"] = {

@@ -1,15 +1,26 @@
 """Exact scalar fields and the row-echelon linear algebra the oracle runs on.
 
 Matrices are numpy arrays throughout: dtype=object holding Fraction for the
-rationals, dtype=int64 for a prime field.  With p = 2**31 - 1 every single
-product of two reduced residues stays below 2**63, so the modular elimination
-can use plain int64 arithmetic with one reduction per multiply.
+rationals, dtype=int64 for a prime field.  Both field classes expose the
+same small API (scalar conversion, rref, rank, reduce_rows, nullspace), so
+the oracle code is field-agnostic.
 
-Both field classes expose the same small API (scalar conversion, rref, rank,
-reduce_rows, nullspace), so the oracle code is field-agnostic.
+Over the rationals the elimination itself runs on Python ints.  Each row is
+multiplied by the lcm of its denominators, then a fraction-free Gauss-Jordan
+pass (Bareiss, Math. Comp. 22, 1968) updates row_i = (a*row_i - b*row_r) //
+prev, with a the new pivot and prev the one before it; every division is
+exact.  At the end every pivot equals the last one, d, so the reduced
+echelon form is rows / d, and Fractions are built only for the rows that
+are returned.  Fraction arithmetic would instead run a gcd on every
+operation.
+
+With p = 2**31 - 1 every single product of two reduced residues stays below
+2**63, so the modular elimination can use plain int64 arithmetic with one
+reduction per multiply.
 """
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +34,8 @@ DEFAULT_PRIME = 2**31 - 1
 # recheck on any disagreement, handled by the callers that compare results).
 RATIONALS_POINT_LIMIT = 30
 
+_ZERO = Fraction(0)
+
 
 class Echelon(NamedTuple):
     """A reduced row-echelon basis: unit pivots, zeros above and below."""
@@ -31,8 +44,56 @@ class Echelon(NamedTuple):
     pivots: tuple
 
 
+def _int_row(row):
+    """(ints, den) with row == ints / den, den the lcm of the denominators."""
+    den = lcm(*[x.denominator for x in row])
+    if den == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def _fraction_free(rows, ncols, jordan):
+    """Fraction-free elimination of a list of int rows, in place.
+
+    Returns (pivots, d).  With jordan, each pivot column is cleared above
+    the pivot as well, and rows[:len(pivots)] end as d times the reduced
+    row-echelon form; without, only below it, which is enough for the rank.
+    Every // is exact: each entry is, up to sign, a minor of the input
+    (Sylvester's identity below the pivots, Cramer's rule above), and prev
+    is the pivot minor one step smaller.
+    """
+    r, prev, pivots = 0, 1, []
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r]
+        a = top[c]
+        for i in range(0 if jordan else r + 1, len(rows)):
+            if i == r:
+                continue
+            row = rows[i]
+            b = row[c]
+            if b:
+                rows[i] = [(a * x - b * y) // prev for x, y in zip(row, top)]
+            elif a != prev:
+                rows[i] = [a * x // prev for x in row]
+        prev = a
+        pivots.append(c)
+        r += 1
+    return pivots, prev
+
+
 class Rationals:
-    """Exact arithmetic over Q, matrices as object arrays of Fraction."""
+    """Exact arithmetic over Q.
+
+    Matrices are object arrays of Fraction; rref, rank and reduce_rows
+    convert them to Python ints, eliminate without fractions and build
+    Fractions only for the rows they return.
+    """
 
     name = "rationals"
     kind = "rationals"
@@ -41,9 +102,6 @@ class Rationals:
     def scalar(self, x):
         """Converts int / Fraction / '7/3' strings to Fraction."""
         return Fraction(x)
-
-    def power(self, x, k):
-        return Fraction(x) ** k
 
     def mul(self, x, y):
         return x * y
@@ -72,12 +130,6 @@ class Rationals:
         out[:, :] = Fraction(0)
         return out
 
-    def eye(self, n):
-        out = self.zeros(n, n)
-        for i in range(n):
-            out[i, i] = Fraction(1)
-        return out
-
     def ones(self, n):
         out = np.empty(n, dtype=object)
         out[:] = Fraction(1)
@@ -96,42 +148,41 @@ class Rationals:
 
     def rref(self, A):
         """Reduced row echelon form; returns the nonzero rows and pivot columns."""
-        A = A.copy()
-        m, n = A.shape
-        r = 0
-        pivots = []
-        for c in range(n):
-            pivot = None
-            for i in range(r, m):
-                if A[i, c] != 0:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            if pivot != r:
-                A[[r, pivot], :] = A[[pivot, r], :]
-            inv = 1 / A[r, c]
-            A[r, :] = A[r, :] * inv
-            for i in range(m):
-                if i != r and A[i, c] != 0:
-                    A[i, :] = A[i, :] - A[i, c] * A[r, :]
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
-        return Echelon(A[:r], tuple(pivots))
+        rows = [_int_row(row)[0] for row in A.tolist()]
+        pivots, d = _fraction_free(rows, A.shape[1], jordan=True)
+        out = np.empty((len(pivots), A.shape[1]), dtype=object)
+        for i in range(len(pivots)):
+            out[i, :] = [Fraction(x, d) if x else _ZERO for x in rows[i]]
+        return Echelon(out, tuple(pivots))
 
     def rank(self, A):
-        return len(self.rref(A).pivots)
+        rows = [_int_row(row)[0] for row in A.tolist()]
+        return len(_fraction_free(rows, A.shape[1], jordan=False)[0])
 
     def reduce_rows(self, W, ech):
-        """Eliminates ech's pivot coordinates from every row of W."""
-        W = W.copy()
-        for l, c in enumerate(ech.pivots):
-            f = W[:, c].copy()
-            if any(x != 0 for x in f):
-                W = W - f[:, None] * ech.rows[l][None, :]
-        return W
+        """Eliminates ech's pivot coordinates from every row of W.
+
+        Returns W - W[:, pivots] . ech.rows, in one pass: ech is fully
+        reduced, so subtracting one basis row leaves W's entries in the
+        other pivot columns as they were.
+        """
+        out = W.copy()
+        if not ech.pivots:
+            return out
+        den = lcm(*[x.denominator for x in ech.rows.flat])
+        basis = [[x.numerator * (den // x.denominator) for x in row]
+                 for row in ech.rows.tolist()]
+        for i, row in enumerate(W.tolist()):
+            ints, wden = _int_row(row)
+            hits = [(ints[c], brow) for c, brow in zip(ech.pivots, basis) if ints[c]]
+            if not hits:
+                continue
+            acc = [x * den for x in ints]
+            for f, brow in hits:
+                acc = [x - f * y for x, y in zip(acc, brow)]
+            q = wden * den
+            out[i, :] = [Fraction(x, q) if x else _ZERO for x in acc]
+        return out
 
     def nullspace(self, A):
         """Rows form a basis of the right kernel {x : A x = 0}."""
@@ -147,15 +198,44 @@ class Rationals:
         return basis
 
 
+# Miller-Rabin with the first twelve primes as bases decides primality
+# exactly for every n < 3.3e24, far beyond the int64 bound on p.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin primality test."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
-    """GF(p) with vectorized int64 elimination; requires p < 2**31.5 or so."""
+    """GF(p) with vectorized int64 elimination, for primes with (p-1)**2 < 2**63."""
 
     kind = "prime"
 
     def __init__(self, p=DEFAULT_PRIME):
-        assert p > 1
-        # single products must fit in int64
-        assert (p - 1) ** 2 < 2**63
+        if p < 2 or (p - 1) ** 2 >= 2**63:
+            raise BadField("modulus %d is outside 2 <= p, (p-1)**2 < 2**63" % p)
+        if not _is_prime(p):
+            raise BadField("modulus %d is not prime" % p)
         self.p = p
         self.name = "gf(%d)" % p
 
@@ -166,9 +246,6 @@ class PrimeField:
         if den == 0:
             raise BadField("denominator %d vanishes mod %d" % (x.denominator, self.p))
         return num * pow(den, -1, self.p) % self.p
-
-    def power(self, x, k):
-        return pow(int(x), k, self.p)
 
     def mul(self, x, y):
         return int(x) * int(y) % self.p
@@ -190,9 +267,6 @@ class PrimeField:
 
     def zeros(self, m, n):
         return np.zeros((m, n), dtype=np.int64)
-
-    def eye(self, n):
-        return np.eye(n, dtype=np.int64)
 
     def ones(self, n):
         return np.ones(n, dtype=np.int64)

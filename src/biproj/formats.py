@@ -18,6 +18,11 @@ from .grid import PointGrid
 from .resolution import BettiTable
 
 
+def _is_int(x):
+    """JSON integers only: bool is an int subclass, but true is not 1 here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_param(x):
     if isinstance(x, bool):
         raise InvalidGrid("line parameter %r is not a number" % (x,))
@@ -45,12 +50,12 @@ def parse_configuration(obj):
         if key not in obj:
             raise InvalidGrid("configuration is missing %r" % key)
     nrows, ncols = obj["rows"], obj["cols"]
-    if not isinstance(nrows, int) or not isinstance(ncols, int):
+    if not _is_int(nrows) or not _is_int(ncols):
         raise InvalidGrid("rows/cols must be integers")
     points = []
     for entry in obj["points"]:
         pair = tuple(entry)
-        if len(pair) != 2 or not all(isinstance(c, int) for c in pair):
+        if len(pair) != 2 or not all(_is_int(c) for c in pair):
             raise InvalidGrid("point %r is not an [i, j] pair" % (entry,))
         if pair in points:
             raise InvalidGrid("duplicate point [%d, %d]" % pair)

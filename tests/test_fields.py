@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals and a big prime field."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from biproj.errors import BadField
-from biproj.fields import GFP, QQ, PrimeField, default_field, field_by_name
+from biproj.fields import GFP, QQ, PrimeField, _is_prime, default_field, field_by_name
 
 
 FIELDS = [QQ, GFP, PrimeField(101)]
@@ -102,3 +103,125 @@ def test_random_rank_agreement(field):
         A = rng.integers(-4, 5, size=(5, 7))
         expected = np.linalg.matrix_rank(A.astype(float))
         assert field.rank(field.array(A.tolist())) == expected
+
+
+def test_prime_field_rejects_bad_moduli():
+    for p in (-7, 0, 1, 4, 9, 91, 2**31 - 3, 2**32 + 15):
+        with pytest.raises(BadField):
+            PrimeField(p)
+    assert PrimeField(2).p == 2
+    assert PrimeField(65537).p == 65537
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if trial(n)]
+    # strong pseudoprimes to the first bases, and large known primes
+    for n in (2047, 1373653, 25326001, 3215031751):
+        assert not _is_prime(n)
+    assert _is_prime(2**31 - 1) and _is_prime(2**61 - 1)
+
+
+# --------------------------------------- rationals against plain Fractions
+
+
+def _reference_rref(rows, ncols):
+    """Textbook Gauss-Jordan over Fraction lists: (nonzero rows, pivots)."""
+    A = [list(row) for row in rows]
+    r, pivots = 0, []
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(A)) if A[i][c] != 0), None)
+        if pivot is None:
+            continue
+        A[r], A[pivot] = A[pivot], A[r]
+        A[r] = [x / A[r][c] for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+    return A[:r], pivots
+
+
+def _random_rows(rng, m, n):
+    """Entries p/q with zeros, a zero column and rank-deficient rows."""
+    def entry():
+        if rng.random() < 0.35:
+            return Fraction(0)
+        return Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 7, 10)))
+
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if n and rng.random() < 0.5:
+        zc = rng.randrange(n)
+        for row in rows:
+            row[zc] = Fraction(0)
+    if m >= 3 and rng.random() < 0.5:
+        a, b = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(1, 4), 3)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    if m >= 2 and rng.random() < 0.2:
+        rows[rng.randrange(m)] = [Fraction(0)] * n
+    return rows
+
+
+def _qq(rows, n):
+    A = QQ.zeros(len(rows), n)
+    for i, row in enumerate(rows):
+        A[i, :] = row
+    return A
+
+
+def _cells(A):
+    return [list(row) for row in A.tolist()]
+
+
+def test_rationals_kernel_matches_reference():
+    rng = random.Random(20)
+    shapes = [(0, 0), (0, 4), (3, 0), (1, 1), (6, 6), (9, 4), (4, 9)]
+    shapes += [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(150)]
+    for m, n in shapes:
+        rows = _random_rows(rng, m, n)
+        A = _qq(rows, n)
+        ref_rows, ref_pivots = _reference_rref(rows, n)
+
+        ech = QQ.rref(A)
+        assert ech.pivots == tuple(ref_pivots)
+        assert ech.rows.shape == (len(ref_rows), n)
+        assert _cells(ech.rows) == ref_rows
+        assert all(type(x) is Fraction for x in ech.rows.flat)
+        assert QQ.rank(A) == len(ref_pivots)
+
+        # reduce_rows against subtracting one basis row at a time
+        wrows = _random_rows(rng, rng.randint(0, 5), n) + rows[:2]
+        W = _qq(wrows, n)
+        expected = [list(w) for w in wrows]
+        for w in expected:
+            for l, c in enumerate(ref_pivots):
+                f = w[c]
+                w[:] = [x - f * y for x, y in zip(w, ref_rows[l])]
+        red = QQ.reduce_rows(W, ech)
+        assert red.shape == W.shape
+        assert _cells(red) == expected
+        assert all(type(x) is Fraction for x in red.flat)
+
+        # nullspace: one basis vector per free column, identity on the free ones
+        ns = QQ.nullspace(A)
+        free = [c for c in range(n) if c not in ref_pivots]
+        assert ns.shape == (len(free), n)
+        for k, fcol in enumerate(free):
+            vec = [Fraction(0)] * n
+            vec[fcol] = Fraction(1)
+            for l, pcol in enumerate(ref_pivots):
+                vec[pcol] = -ref_rows[l][fcol]
+            assert list(ns[k]) == vec
+
+
+def test_rationals_rref_input_untouched():
+    A = QQ.array([[Fraction(1, 2), 3, 0], [1, 6, Fraction(5, 3)]])
+    before = _cells(A)
+    QQ.rref(A)
+    QQ.rank(A)
+    QQ.reduce_rows(A, QQ.rref(A[:1]))
+    assert _cells(A) == before

@@ -62,6 +62,18 @@ def test_configuration_rejections():
         formats.parse_configuration([1, 2, 3])
 
 
+@pytest.mark.parametrize("bad", [
+    {"rows": True, "cols": 2, "points": [[0, 0], [0, 1]]},
+    {"rows": 2, "cols": True, "points": [[0, 0], [1, 0]]},
+    {"rows": 2, "cols": 2, "points": [[0, 0], [True, 0]]},
+    {"rows": 2, "cols": 2, "points": [[0, 0], [0, True]]},
+])
+def test_configuration_rejects_bools(bad):
+    # bool is an int subclass in Python; JSON true must not read as 1
+    with pytest.raises(InvalidGrid):
+        formats.parse_configuration(bad)
+
+
 def test_matrix_rendering_alignment():
     text = formats.render_matrix(np.array([[1, 10], [-2, 3]]))
     lines = text.splitlines()
@@ -258,6 +270,41 @@ def test_cli_field_selection(capsys, fixtures_dir, monkeypatch):
     code, _, _ = run_cli(capsys, "validate", str(fixtures_dir / "e3_X.json"),
                          env={"BIPROJ_FIELD": "bogus"}, monkeypatch=monkeypatch)
     assert code == 1
+
+
+@pytest.mark.parametrize("modulus", ["1", "4", "9"])
+def test_cli_bad_modulus(capsys, fixtures_dir, modulus):
+    code, _, err = run_cli(capsys, "validate", str(fixtures_dir / "e1_X.json"),
+                           "--field", "prime:" + modulus)
+    assert code == 1
+    assert json.loads(err)["error"] == "BadField"
+
+
+@pytest.mark.parametrize("modulus", ["101", "65537"])
+def test_cli_good_modulus(capsys, fixtures_dir, modulus):
+    code, out, _ = run_cli(capsys, "hilbert", str(fixtures_dir / "e3_Z.json"),
+                           "--oracle", "--field", "prime:" + modulus)
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("extra, calls", [((), 1), (("--field", "prime"), 2)])
+def test_cli_mismatch_rechecks_only_prime(capsys, fixtures_dir, monkeypatch, extra, calls):
+    # e3_Z has few points, so auto picks the rationals: nothing to recheck
+    import biproj.cli
+
+    fields = []
+    real = biproj.cli.betti_oracle
+
+    def counting(grid, field=None, **kw):
+        fields.append(field)
+        return real(grid, field, **kw)
+
+    monkeypatch.setattr(biproj.cli, "betti_oracle", counting)
+    code, _, _ = run_cli(capsys, "resolution", str(fixtures_dir / "e3_Z.json"),
+                         "--method", "delta", "--verify", *extra)
+    assert code == 4
+    assert len(fields) == calls
+    assert fields[-1].kind == "rationals"
 
 
 def test_cli_fuzz_seeded(capsys):

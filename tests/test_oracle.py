@@ -76,6 +76,22 @@ def test_betti_oracle_removal_case(big_staircase):
     assert betti_oracle(res.grid_z, GFP).counters() == res.betti.counters()
 
 
+def test_betti_oracle_fields_agree_scrambled_rational_params():
+    # staircase (5,4,3,2) minus two interior points, lines shuffled and
+    # parameters m + 1/(2 + m mod 3): QQ, GF(p) and the removal theorem agree
+    x = staircase((5, 4, 3, 2))
+    res = remove_points(x, removal_plan(x, [(0, 2), (1, 1)]))
+    z = res.grid_z
+    row_perm, col_perm = [2, 0, 3, 1], [3, 0, 4, 1, 2]
+    params = lambda n: [m + Fraction(1, 2 + m % 3) for m in (3, -1, 4, 0, 7)[:n]]
+    scrambled = PointGrid.from_points(
+        4, 5, [(row_perm[i], col_perm[j]) for (i, j) in z.points()],
+        row_params=params(4), col_params=params(5)[::-1])
+    qq = betti_oracle(scrambled, QQ)
+    assert qq.counters() == betti_oracle(scrambled, GFP).counters()
+    assert qq.counters() == res.betti.counters()
+
+
 def test_betti_oracle_rejects_unknown_engine(two_row):
     with pytest.raises(ValueError):
         betti_oracle(two_row, engine="floating")
