@@ -71,6 +71,6 @@ from .resolution import (
     separator_for,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -25,15 +25,13 @@ from .errors import (
 )
 from .fields import QQ, default_field, field_by_name
 from .grid import PointKind, classify_points, corners_and_vertices, is_acm, validate
-from .hilbert import delta, hilbert_acm, puncture_hilbert
+from .hilbert import delta, hilbert_acm
 from .oracle import betti_oracle, hilbert_oracle, verify_separator
 from .resolution import (
     acm_resolution,
     betti_diff,
     betti_from_delta,
-    removal_plan,
     remove_points,
-    separator_for,
 )
 
 EXIT_OK = 0
@@ -49,6 +47,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         _err("UsageError", message)
         raise SystemExit(EXIT_BAD_INPUT)
+
+
+def _count(text):
+    """argparse type for the non-negative integer options."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("%s is negative; expected an integer >= 0" % text)
+    return n
 
 
 def _err(name, message):
@@ -174,25 +183,8 @@ def _parse_removals(args):
             raise BiprojError("bad --remove entry %r (expected i,j)" % chunk)
     if args.plan:
         with open(args.plan) as fh:
-            obj = json.load(fh)
-        for entry in obj["points"]:
-            pts.append((int(entry[0]), int(entry[1])))
+            pts += formats.parse_plan(json.load(fh))
     return pts
-
-
-def _separator_objects(grid, plan):
-    out, texts, cur = [], [], grid
-    for point in plan.points:
-        sep = separator_for(cur, point)
-        out.append({
-            "point": list(sep.point),
-            "degree": list(sep.degree),
-            "lines": ["%s_%d" % line for line in sep.lines],
-        })
-        texts.append("separator P(%d,%d): degree (%d,%d), lines %s" % (
-            sep.point + sep.degree + (" ".join("%s_%d" % l for l in sep.lines),)))
-        cur = cur.without(point)
-    return out, texts
 
 
 def cmd_resolution(args):
@@ -200,14 +192,11 @@ def cmd_resolution(args):
     field = _resolve_field(args)
     pts = _parse_removals(args)
     certified = None
-    plan = None
+    res = None
     if pts:
-        plan = removal_plan(grid, pts)
-        grid_final = grid
-        for p in plan.points:
-            grid_final = grid_final.without(p)
+        res = remove_points(grid, pts)
+        grid_final = res.grid_z
         if args.method == "combinatorial":
-            res = remove_points(grid, plan)
             table, source = res.betti, "removal"
             certified = [
                 {
@@ -217,13 +206,10 @@ def cmd_resolution(args):
                     "cond3_violations": [list(v) for v in rep.cond3_violations],
                     "ok": rep.ok,
                 }
-                for point, rep in zip(plan.points, res.conditions)
+                for point, rep in zip(res.plan.points, res.conditions)
             ]
         elif args.method == "delta":
-            M = hilbert_acm(grid)
-            for (r, s) in plan.degrees:
-                M = puncture_hilbert(M, r, s)
-            table, source = betti_from_delta(delta(M)), "delta"
+            table, source = betti_from_delta(delta(res.hilbert)), "delta"
         else:
             table, source = betti_oracle(grid_final, field), "oracle"
     else:
@@ -239,10 +225,15 @@ def cmd_resolution(args):
     obj = formats.betti_to_json(table, source, certified)
     lines = [formats.render_betti(table)]
 
-    if args.separators and plan is not None:
-        sep_objs, sep_texts = _separator_objects(grid, plan)
-        obj["separators"] = sep_objs
-        lines += sep_texts
+    if args.separators and res is not None:
+        obj["separators"] = [
+            {"point": list(sep.point), "degree": list(sep.degree),
+             "lines": ["%s_%d" % line for line in sep.lines]}
+            for sep in res.separators
+        ]
+        lines += ["separator P(%d,%d): degree (%d,%d), lines %s" % (
+            sep.point + sep.degree + (" ".join("%s_%d" % l for l in sep.lines),))
+            for sep in res.separators]
 
     mismatch = None
     if args.verify:
@@ -312,8 +303,7 @@ def _fuzz_one(grid, rng, hmax, field):
     pts = random_plan(grid, rng, max_points=hmax)
     if not pts:
         return None
-    plan = removal_plan(grid, pts)
-    res = remove_points(grid, plan)
+    res = remove_points(grid, pts)
     from_delta = betti_from_delta(delta(res.hilbert))
     from_oracle = betti_oracle(res.grid_z, field)
     if not (res.betti.counters() == from_delta.counters() == from_oracle.counters()):
@@ -361,7 +351,7 @@ def build_parser():
     add("validate", cmd_validate)
     for name, func in (("hilbert", cmd_hilbert), ("delta", cmd_delta)):
         p = add(name, func)
-        p.add_argument("--window", type=int, nargs=2, metavar=("I", "J"))
+        p.add_argument("--window", type=_count, nargs=2, metavar=("I", "J"))
         p.add_argument("--oracle", action="store_true",
                        help="rank-based computation (works on non-ACM schemes)")
     add("classify", cmd_classify)
@@ -375,10 +365,10 @@ def build_parser():
     p.add_argument("--verify", action="store_true")
     p.add_argument("--separators", action="store_true")
     p = add("fuzz", cmd_fuzz, config=False)
-    p.add_argument("--cases", type=int, default=25)
-    p.add_argument("--max-rows", type=int, default=5)
-    p.add_argument("--max-cols", type=int, default=5)
-    p.add_argument("--max-removals", type=int, default=3)
+    p.add_argument("--cases", type=_count, default=25)
+    p.add_argument("--max-rows", type=_count, default=5)
+    p.add_argument("--max-cols", type=_count, default=5)
+    p.add_argument("--max-removals", type=_count, default=3)
     return parser
 
 

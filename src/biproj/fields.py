@@ -2,8 +2,8 @@
 
 Matrices are numpy arrays throughout: dtype=object holding Fraction for the
 rationals, dtype=int64 for a prime field.  Both field classes expose the
-same small API (scalar conversion, rref, rank, reduce_rows, nullspace), so
-the oracle code is field-agnostic.
+same small API (scalar conversion, rref, rank, reduce_rows), so the oracle
+code is field-agnostic.
 
 Over the rationals the elimination itself runs on Python ints.  Each row is
 multiplied by the lcm of its denominators, then a fraction-free Gauss-Jordan
@@ -184,19 +184,6 @@ class Rationals:
             out[i, :] = [Fraction(x, q) if x else _ZERO for x in acc]
         return out
 
-    def nullspace(self, A):
-        """Rows form a basis of the right kernel {x : A x = 0}."""
-        ech = self.rref(A)
-        n = A.shape[1]
-        pivot_set = set(ech.pivots)
-        free = [c for c in range(n) if c not in pivot_set]
-        basis = self.zeros(len(free), n)
-        for k, fcol in enumerate(free):
-            basis[k, fcol] = Fraction(1)
-            for l, pcol in enumerate(ech.pivots):
-                basis[k, pcol] = -ech.rows[l, fcol]
-        return basis
-
 
 # Miller-Rabin with the first twelve primes as bases decides primality
 # exactly for every n < 3.3e24, far beyond the int64 bound on p.
@@ -315,18 +302,6 @@ class PrimeField:
             if np.any(f):
                 W = (W - f[:, None] * ech.rows[l][None, :]) % p
         return W
-
-    def nullspace(self, A):
-        ech = self.rref(A)
-        n = A.shape[1]
-        pivot_set = set(ech.pivots)
-        free = [c for c in range(n) if c not in pivot_set]
-        basis = self.zeros(len(free), n)
-        for k, fcol in enumerate(free):
-            basis[k, fcol] = 1
-            for l, pcol in enumerate(ech.pivots):
-                basis[k, pcol] = (-int(ech.rows[l, fcol])) % self.p
-        return basis
 
 
 QQ = Rationals()

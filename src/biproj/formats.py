@@ -42,6 +42,19 @@ def _emit_param(x):
     return str(x) if isinstance(x, Fraction) else int(x)
 
 
+def parse_points(entries):
+    """A JSON array of [i, j] integer pairs -> list of (i, j) tuples."""
+    if not isinstance(entries, (list, tuple)):
+        raise InvalidGrid("points must be an array of [i, j] pairs")
+    points = []
+    for entry in entries:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                and all(_is_int(c) for c in entry)):
+            raise InvalidGrid("point %r is not an [i, j] pair" % (entry,))
+        points.append(tuple(entry))
+    return points
+
+
 def parse_configuration(obj):
     """ConfigurationFile dict -> PointGrid."""
     if not isinstance(obj, dict):
@@ -52,19 +65,19 @@ def parse_configuration(obj):
     nrows, ncols = obj["rows"], obj["cols"]
     if not _is_int(nrows) or not _is_int(ncols):
         raise InvalidGrid("rows/cols must be integers")
-    points = []
-    for entry in obj["points"]:
-        pair = tuple(entry)
-        if len(pair) != 2 or not all(_is_int(c) for c in pair):
-            raise InvalidGrid("point %r is not an [i, j] pair" % (entry,))
-        if pair in points:
-            raise InvalidGrid("duplicate point [%d, %d]" % pair)
-        points.append(pair)
+    points = parse_points(obj["points"])
     kw = {}
     for key in ("row_params", "col_params"):
         if obj.get(key) is not None:
             kw[key] = [_parse_param(x) for x in obj[key]]
     return PointGrid.from_points(nrows, ncols, points, **kw)
+
+
+def parse_plan(obj):
+    """Removal plan dict {"points": [[i, j], ...]} -> list of (i, j) tuples."""
+    if not isinstance(obj, dict) or "points" not in obj:
+        raise InvalidGrid("plan must be a JSON object with a points array")
+    return parse_points(obj["points"])
 
 
 def emit_configuration(grid, name=None):

@@ -220,30 +220,34 @@ def is_acm(grid):
     return is_staircase(normalize(grid).grid)
 
 
-def _present(inc, nr, nc, i, j):
-    # sentinel: indices -1 count as "point present"
-    if i < 0 or j < 0:
-        return True
-    if i >= nr or j >= nc:
-        return False
-    return inc[i][j]
+def corner_vertex_cells(c):
+    """Corner and vertex positions of a 2-D integer array (sorted lex).
 
-
-def _staircase_corners_vertices(g):
-    inc = g.incidence
-    nr, nc = len(inc), len(inc[0])
+    Corner: c_ij <= 0 with c_{i,j-1} = c_{i-1,j} = 1.  Vertex: c_{i-1,j} <= 0,
+    c_{i,j-1} <= 0 with c_{i-1,j-1} = 1.  Entries at index -1 count as 1.
+    The all-zero array has no corners or vertices.  A staircase's incidence
+    matrix padded with one empty row and one empty column is its Delta M,
+    so this one rule serves both.
+    """
+    if not any(any(row) for row in c):
+        return [], []
     corners, vertices = [], []
-    for i in range(nr + 1):
-        for j in range(nc + 1):
-            up = _present(inc, nr, nc, i - 1, j)
-            left = _present(inc, nr, nc, i, j - 1)
-            here = _present(inc, nr, nc, i, j)
-            diag = _present(inc, nr, nc, i - 1, j - 1)
-            if up and left and not here:
+    # row i-1 with the column -1 sentinel in front; row -1 is all sentinels
+    up_row = [1] * (len(c[0]) + 1)
+    for i, row in enumerate(c):
+        row = [1] + list(row)
+        for j in range(len(row) - 1):
+            here, left, up, diag = row[j + 1], row[j], up_row[j + 1], up_row[j]
+            if here <= 0 and left == 1 and up == 1:
                 corners.append((i, j))
-            if not up and not left and diag:
+            if up <= 0 and left <= 0 and diag == 1:
                 vertices.append((i, j))
-    return sorted(corners), sorted(vertices)
+        up_row = row
+    return corners, vertices
+
+
+def _padded_incidence(g):
+    return [list(row) + [False] for row in g.incidence] + [[False] * (g.shape[1] + 1)]
 
 
 def corners_and_vertices(grid):
@@ -256,7 +260,7 @@ def corners_and_vertices(grid):
     norm = normalize(grid).grid
     if not is_staircase(norm):
         raise NotACM("configuration is not ACM")
-    return _staircase_corners_vertices(norm)
+    return corner_vertex_cells(_padded_incidence(norm))
 
 
 class PointKind(Enum):
@@ -287,7 +291,7 @@ def classify_points(grid):
     norm = normalize(grid)
     if not is_staircase(norm.grid):
         raise NotACM("configuration is not ACM")
-    corners, _ = _staircase_corners_vertices(norm.grid)
+    corners, _ = corner_vertex_cells(_padded_incidence(norm.grid))
     rcount = grid.row_counts()
     ccount = grid.col_counts()
     out = {}

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveEntry, NotACM
-from .grid import ValidationReport, is_staircase, normalize
+from .grid import ValidationReport, corner_vertex_cells, is_staircase, normalize
 
 
 def _freeze(entries):
@@ -178,32 +178,13 @@ def puncture_hilbert(M, r, s):
     return HilbertMatrix(e, degree=M.degree - 1)
 
 
-def _sentinel_c(D, i, j):
-    # indices -1 count as 1, beyond the window as 0
-    if i < 0 or j < 0:
-        return 1
-    return D.c(i, j)
-
-
 def delta_corners_vertices(D):
     """Corner and vertex positions of a first-difference matrix (sorted lex).
 
     Corner: c_ij <= 0 with c_{i,j-1} = c_{i-1,j} = 1.  Vertex: c_{i-1,j} <= 0,
     c_{i,j-1} <= 0 with c_{i-1,j-1} = 1.  Sentinel entries at index -1 count
     as 1.  The all-zero matrix (empty scheme) has no corners or vertices.
+    The rule is grid.corner_vertex_cells, the one the staircase test uses,
+    applied to the window.
     """
-    if not D.entries.any():
-        return [], []
-    wi, wj = D.window
-    corners, vertices = [], []
-    for i in range(wi + 1):
-        for j in range(wj + 1):
-            here = D.c(i, j)
-            left = _sentinel_c(D, i, j - 1)
-            up = _sentinel_c(D, i - 1, j)
-            diag = _sentinel_c(D, i - 1, j - 1)
-            if here <= 0 and left == 1 and up == 1:
-                corners.append((i, j))
-            if up <= 0 and left <= 0 and diag == 1:
-                vertices.append((i, j))
-    return sorted(corners), sorted(vertices)
+    return corner_vertex_cells(D.entries.tolist())

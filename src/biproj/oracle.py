@@ -51,15 +51,17 @@ class _Spaces:
         self.tvals = field.vector([ts[i] for (i, _) in self.points])
         self.uvals = field.vector([us[j] for (_, j) in self.points])
         wi, wj = window
+        # every monomial t^a u^b at every point, once; each cell's rows are
+        # a slice of it (possibly a view: rref leaves its input unchanged)
         tpow = _powers(field, self.tvals, wi)
         upow = _powers(field, self.uvals, wj)
+        mono = tpow[:, None, :] * upow[None, :, :]
+        if field.kind == "prime":
+            mono = mono % field.p
         self.ech = {}
         for u in range(wi + 1):
             for v in range(wj + 1):
-                rows = tpow[: u + 1, None, :] * upow[None, : v + 1, :]
-                if field.kind == "prime":
-                    rows = rows % field.p
-                rows = rows.reshape((u + 1) * (v + 1), len(self.points))
+                rows = mono[: u + 1, : v + 1].reshape((u + 1) * (v + 1), len(self.points))
                 self.ech[(u, v)] = field.rref(rows)
 
     def dim(self, u, v):
@@ -76,18 +78,19 @@ class _Spaces:
         return HilbertMatrix(m, degree=len(self.points))
 
 
-def _base_window(grid, margin=2):
+def _base_window(grid, margin=2, window=None):
+    """The grid size plus `margin` in both directions, widened to `window`."""
     nr, nc = grid.shape
-    return (nr - 1 + margin, nc - 1 + margin)
+    wi, wj = nr - 1 + margin, nc - 1 + margin
+    if window is not None:
+        wi, wj = max(wi, window[0]), max(wj, window[1])
+    return (wi, wj)
 
 
 def hilbert_oracle(grid, field=None, window=None):
     """M(i,j) = rank of the evaluation matrix, on at least the base window."""
     field = field or default_field(grid.npoints)
-    wi, wj = _base_window(grid)
-    if window is not None:
-        wi, wj = max(wi, window[0]), max(wj, window[1])
-    return _Spaces(grid, field, (wi, wj)).hilbert()
+    return _Spaces(grid, field, _base_window(grid, window=window)).hilbert()
 
 
 def _upset_root(cells, window):
@@ -130,10 +133,7 @@ def drop_sets(grid, field=None, window=None):
     P is a pivot column whose basis row is e_P itself.
     """
     field = field or default_field(grid.npoints)
-    wi, wj = _base_window(grid)
-    if window is not None:
-        wi, wj = max(wi, window[0]), max(wj, window[1])
-    spaces = _Spaces(grid, field, (wi, wj))
+    spaces = _Spaces(grid, field, _base_window(grid, window=window))
     drops = {pos: set() for pos in spaces.points}
     for (u, v), ech in spaces.ech.items():
         if not ech.pivots:
@@ -260,14 +260,15 @@ def _homology_at(module, i, j):
 
 
 def _betti_counters(spaces, engine):
+    """k -> Counter of dim Tor_k by bidegree over the window, k = 0..#vars."""
     module = _KoszulModule(spaces, reduced=(engine == "reduced"))
     nvars = len(module.vars)
-    counters = {k: Counter() for k in range(1, nvars + 1)}
+    counters = {k: Counter() for k in range(nvars + 1)}
     wi, wj = spaces.window
     for i in range(wi + 1):
         for j in range(wj + 1):
             h = _homology_at(module, i, j)
-            for k in range(1, nvars + 1):
+            for k in range(nvars + 1):
                 if h[k]:
                     counters[k][(i, j)] = h[k]
     return counters
@@ -310,76 +311,18 @@ def betti_oracle(grid, field=None, engine="reduced", start_margin=2, max_margin=
 def tor_dimensions(grid, k, field=None, engine="direct", window=None):
     """Counter of dim Tor_k(S/I_X) by bidegree over the window."""
     field = field or default_field(grid.npoints)
-    wi, wj = _base_window(grid)
-    if window is not None:
-        wi, wj = max(wi, window[0]), max(wj, window[1])
-    spaces = _Spaces(grid, field, (wi, wj))
-    module = _KoszulModule(spaces, reduced=(engine == "reduced"))
-    if k > len(module.vars):
+    counters = _betti_counters(_Spaces(grid, field, _base_window(grid, window=window)), engine)
+    if k not in counters:
         raise ValueError("engine %r has no homological degree %d" % (engine, k))
-    out = Counter()
-    for i in range(wi + 1):
-        for j in range(wj + 1):
-            h = _homology_at(module, i, j)
-            if h[k]:
-                out[(i, j)] = h[k]
-    return out
-
-
-def _evaluation_matrix(spaces_field, tvals, uvals, u, v):
-    """N x (u+1)(v+1) matrix: rows are points, columns monomials (a,b)."""
-    field = spaces_field
-    tpow = _powers(field, tvals, u)
-    upow = _powers(field, uvals, v)
-    cols = tpow[: u + 1, None, :] * upow[None, : v + 1, :]
-    if field.kind == "prime":
-        cols = cols % field.p
-    return cols.reshape((u + 1) * (v + 1), tvals.shape[0]).T
+    return counters[k]
 
 
 def generator_count_oracle(grid, field=None, d=None):
-    """Number of minimal generators of I_X in bidegree d:
-    dim I_d - dim(S_(1,0) * I_{d-(1,0)} + S_(0,1) * I_{d-(0,1)})."""
-    field = field or default_field(grid.npoints)
-    i, j = d
-    if i < 0 or j < 0:
+    """Number of minimal generators of I_X in bidegree d, which is
+    dim Tor_1(S/I_X) in degree d (reduced Koszul engine, window reaching d)."""
+    if d[0] < 0 or d[1] < 0:
         raise ValueError("bidegree must be componentwise nonnegative")
-    require_valid(grid, allow_empty_lines=True)
-    ts = field.convert_params(grid.row_params)
-    us = field.convert_params(grid.col_params)
-    pts = grid.points()
-    tvals = field.vector([ts[r] for (r, _) in pts])
-    uvals = field.vector([us[c] for (_, c) in pts])
-
-    def ideal_basis(u, v):
-        return field.nullspace(_evaluation_matrix(field, tvals, uvals, u, v))
-
-    here = ideal_basis(i, j)
-    if here.shape[0] == 0:
-        return 0
-    spans = []
-    if i >= 1:
-        ker = ideal_basis(i - 1, j)
-        n = ker.shape[0]
-        if n:
-            x0 = field.zeros(n, (i + 1) * (j + 1))
-            x0[:, : i * (j + 1)] = ker
-            x1 = field.zeros(n, (i + 1) * (j + 1))
-            x1[:, (j + 1) :] = ker
-            spans += [x0, x1]
-    if j >= 1:
-        ker = ideal_basis(i, j - 1)
-        n = ker.shape[0]
-        if n:
-            k3 = ker.reshape(n, i + 1, j)
-            y0 = field.zeros(n, (i + 1) * (j + 1)).reshape(n, i + 1, j + 1)
-            y0[:, :, :j] = k3
-            y1 = field.zeros(n, (i + 1) * (j + 1)).reshape(n, i + 1, j + 1)
-            y1[:, :, 1:] = k3
-            spans += [y0.reshape(n, -1), y1.reshape(n, -1)]
-    if not spans:
-        return here.shape[0]
-    return here.shape[0] - field.rank(np.vstack(spans))
+    return tor_dimensions(grid, 1, field, engine="reduced", window=d)[tuple(d)]
 
 
 def verify_separator(sep, grid_Z, removed, field=None):

@@ -20,7 +20,7 @@ from .grid import (
     require_valid,
     strictly_below,
 )
-from .hilbert import _sentinel_c, hilbert_acm, puncture_hilbert
+from .hilbert import delta_corners_vertices, hilbert_acm, puncture_hilbert
 
 
 def dim_bigraded(u, v):
@@ -262,39 +262,32 @@ def remove_points(grid, plan):
 
 
 def betti_from_delta(D):
-    """Betti table read off a first difference, with sentinel c_{-1,.} = 1
-    and neg(x) = max(0, -x):
+    """Betti table read off a first difference, with neg(x) = max(0, -x):
 
       beta0(i,j) = [corner at (i,j)] + neg(c_ij)
       beta1(i,j) = [vertex at (i,j)] + neg(c_{i,j-1}) + neg(c_{i-1,j})
       beta2(i,j) = neg(c_{i-1,j-1})
 
-    Valid for schemes obtained from a staircase by removing interior points
-    on pairwise-distinct rows and columns; outside that class the result
-    can be wrong and only an oracle comparison will notice.  The all-zero
-    matrix yields an empty table.
+    Corners and vertices come from delta_corners_vertices (sentinel
+    c_{-1,.} = c_{.,-1} = 1, so sentinels add no neg terms); each negative
+    entry adds its terms at (i,j), (i,j+1), (i+1,j), (i+1,j+1) inside the
+    window.  Valid for schemes obtained from a staircase by removing
+    interior points on pairwise-distinct rows and columns; outside that
+    class the result can be wrong and only an oracle comparison will
+    notice.  The all-zero matrix yields an empty table.
     """
-    if not D.entries.any():
-        return BettiTable.make([], [], [])
+    corners, vertices = delta_corners_vertices(D)
+    b0, b1, b2 = Counter(corners), Counter(vertices), Counter()
     wi, wj = D.window
-    b0, b1, b2 = Counter(), Counter(), Counter()
-
-    def neg(x):
-        return max(0, -x)
-
-    for i in range(wi + 1):
-        for j in range(wj + 1):
-            here = D.c(i, j)
-            left = _sentinel_c(D, i, j - 1)
-            up = _sentinel_c(D, i - 1, j)
-            diag = _sentinel_c(D, i - 1, j - 1)
-            m0 = int(here <= 0 and left == 1 and up == 1) + neg(here)
-            m1 = int(up <= 0 and left <= 0 and diag == 1) + neg(left) + neg(up)
-            m2 = neg(diag)
-            if m0:
-                b0[(i, j)] += m0
-            if m1:
-                b1[(i, j)] += m1
-            if m2:
-                b2[(i, j)] += m2
+    for i, row in enumerate(D.entries.tolist()):
+        for j, c in enumerate(row):
+            if c >= 0:
+                continue
+            b0[(i, j)] -= c
+            if j < wj:
+                b1[(i, j + 1)] -= c
+            if i < wi:
+                b1[(i + 1, j)] -= c
+            if i < wi and j < wj:
+                b2[(i + 1, j + 1)] -= c
     return BettiTable.make(b0, b1, b2)

@@ -49,6 +49,10 @@ def test_configuration_fraction_params():
 def test_configuration_rejections():
     base = {"rows": 1, "cols": 2, "points": [[0, 0], [0, 1]]}
     with pytest.raises(InvalidGrid):
+        formats.parse_configuration({**base, "points": 5})
+    with pytest.raises(InvalidGrid):
+        formats.parse_configuration({**base, "points": [0, [0, 1]]})
+    with pytest.raises(InvalidGrid):
         formats.parse_configuration({**base, "points": [[0, 0], [0, 0]]})
     with pytest.raises(InvalidGrid):
         formats.parse_configuration({**base, "points": [[0, 5]]})
@@ -174,16 +178,18 @@ def test_cli_resolution_verify_match(capsys, fixtures_dir):
 
 
 def test_cli_resolution_methods_agree(capsys, fixtures_dir):
-    outputs = []
+    outputs, separators = [], []
     for method in ("combinatorial", "delta", "oracle"):
         code, out, _ = run_cli(capsys, "resolution", str(fixtures_dir / "e1_X.json"),
                                "--remove", "0,4", "1,3", "2,1", "3,2", "4,0",
-                               "--method", method, "--format", "json")
+                               "--separators", "--method", method, "--format", "json")
         assert code == 0
         obj = json.loads(out)
         table, source = formats.betti_from_json(obj)
         outputs.append(table.counters())
+        separators.append(obj["separators"])
     assert outputs[0] == outputs[1] == outputs[2]
+    assert len(separators[0]) == 5 and separators[0] == separators[1] == separators[2]
 
 
 def test_cli_resolution_collinear_exit3(capsys, fixtures_dir):
@@ -225,6 +231,37 @@ def test_cli_resolution_separators(capsys, fixtures_dir):
     assert obj["separators"] == [
         {"point": [0, 1], "degree": [1, 3], "lines": ["R_1", "C_0", "C_2", "C_3"]}]
     assert obj["certified_conditions"][0]["ok"] is True
+
+
+@pytest.mark.parametrize("plan", [
+    {"points": 5},
+    [[1, 1]],
+    {"points": [[1]]},
+    {"points": [[True, 1]]},
+    {"points": ["11"]},
+    {},
+])
+def test_cli_resolution_bad_plan_file(tmp_path, capsys, fixtures_dir, plan):
+    code, out, err = run_cli(capsys, "resolution", str(fixtures_dir / "e1_X.json"),
+                             "--plan", cfg(tmp_path, plan, "plan.json"))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidGrid"
+
+
+@pytest.mark.parametrize("argv", [
+    ("hilbert", "e3_X.json", "--window", "-1", "-1"),
+    ("delta", "e3_X.json", "--window", "2", "-1"),
+    ("fuzz", "--cases", "-3"),
+    ("fuzz", "--max-rows", "-1"),
+    ("fuzz", "--max-cols", "-2"),
+    ("fuzz", "--max-removals", "-1"),
+])
+def test_cli_negative_counts_are_usage_errors(capsys, fixtures_dir, argv):
+    argv = [str(fixtures_dir / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "UsageError" and "negative" in obj["message"]
 
 
 def test_cli_table_equals_json(capsys, fixtures_dir):

@@ -1,5 +1,7 @@
 """Hilbert matrices, first differences, puncturing."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from biproj.hilbert import (
     hilbert_acm,
     puncture_hilbert,
 )
+from biproj.resolution import betti_from_delta
 
 from conftest import BIG_PLAN, TWO_ROW_DELTA, BIG_Z_DELTA
 
@@ -142,3 +145,51 @@ def test_delta_corners_vertices_after_removal(big_staircase):
 
 def test_delta_corners_vertices_all_zero():
     assert delta_corners_vertices(DeltaMatrix(np.zeros((3, 3), dtype=np.int64))) == ([], [])
+
+
+def _reference_from_delta(D):
+    """Per-cell sentinel rule, kept as an independent reference:
+    (corners, vertices, beta0, beta1, beta2) with c_{-1,.} = c_{.,-1} = 1."""
+    if not D.entries.any():
+        return [], [], {}, {}, {}
+    wi, wj = D.window
+
+    def c(i, j):
+        return 1 if i < 0 or j < 0 else D.c(i, j)
+
+    def neg(x):
+        return max(0, -x)
+
+    corners, vertices, b0, b1, b2 = [], [], {}, {}, {}
+    for i in range(wi + 1):
+        for j in range(wj + 1):
+            here, left, up, diag = c(i, j), c(i, j - 1), c(i - 1, j), c(i - 1, j - 1)
+            corner = here <= 0 and left == 1 and up == 1
+            vertex = up <= 0 and left <= 0 and diag == 1
+            if corner:
+                corners.append((i, j))
+            if vertex:
+                vertices.append((i, j))
+            for level, m in ((b0, int(corner) + neg(here)),
+                             (b1, int(vertex) + neg(left) + neg(up)),
+                             (b2, neg(diag))):
+                if m:
+                    level[(i, j)] = m
+    return sorted(corners), sorted(vertices), b0, b1, b2
+
+
+def test_corner_vertex_rule_matches_reference():
+    # arbitrary integer matrices: negative entries, entries above 1, and a
+    # nonzero last row or column, none of which a scheme's Delta M has
+    rng = np.random.default_rng(404)
+    cases = [np.zeros((1, 1), dtype=np.int64), np.zeros((3, 4), dtype=np.int64)]
+    for _ in range(400):
+        shape = tuple(int(x) for x in rng.integers(1, 7, size=2))
+        cases.append(rng.integers(-2, 3, size=shape))
+    assert sum(bool(m[-1].any() or m[:, -1].any()) for m in cases) >= 300
+    assert sum(bool((m < 0).any()) for m in cases) >= 300
+    for entries in cases:
+        D = DeltaMatrix(entries)
+        corners, vertices, b0, b1, b2 = _reference_from_delta(D)
+        assert delta_corners_vertices(D) == (corners, vertices)
+        assert betti_from_delta(D).counters() == (Counter(b0), Counter(b1), Counter(b2))

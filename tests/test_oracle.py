@@ -103,6 +103,9 @@ def test_tor_dimensions(two_row):
     assert tor_dimensions(two_row, 4, engine="direct") == Counter()
     with pytest.raises(ValueError):
         tor_dimensions(two_row, 4, engine="reduced")  # only three variables
+    for engine in ("reduced", "direct"):
+        # Tor_0(S/I_X, k) is k, in degree (0,0) only
+        assert tor_dimensions(two_row, 0, engine=engine) == Counter({(0, 0): 1})
 
 
 def test_separating_degree_oracle(two_row):
