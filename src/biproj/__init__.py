@@ -17,6 +17,7 @@ from .errors import (
     NonPositiveEntry,
     NotACM,
     NotInterior,
+    OracleInconsistency,
     PointNotInScheme,
     VerificationMismatch,
     WindowTooSmall,

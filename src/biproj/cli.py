@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -49,14 +50,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_BAD_INPUT)
 
 
-def _count(text):
-    """argparse type for the non-negative integer options."""
+def _count(text, minimum=0):
+    """argparse type for the integer options, which are at least `minimum`."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("invalid int value: %r" % text)
-    if n < 0:
-        raise argparse.ArgumentTypeError("%s is negative; expected an integer >= 0" % text)
+    if n < minimum:
+        why = "negative" if n < 0 else "below %d" % minimum
+        raise argparse.ArgumentTypeError(
+            "%s is %s; expected an integer >= %d" % (text, why, minimum))
     return n
 
 
@@ -366,8 +369,8 @@ def build_parser():
     p.add_argument("--separators", action="store_true")
     p = add("fuzz", cmd_fuzz, config=False)
     p.add_argument("--cases", type=_count, default=25)
-    p.add_argument("--max-rows", type=_count, default=5)
-    p.add_argument("--max-cols", type=_count, default=5)
+    p.add_argument("--max-rows", type=partial(_count, minimum=1), default=5)
+    p.add_argument("--max-cols", type=partial(_count, minimum=1), default=5)
     p.add_argument("--max-removals", type=_count, default=3)
     return parser
 

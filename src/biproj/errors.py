@@ -2,7 +2,7 @@
 
 The CLI maps these onto its exit-code contract: InvalidGrid and friends
 are bad input (1), NotACM is 2, CollinearRemoval/NotInterior are 3 and
-VerificationMismatch is 4.
+VerificationMismatch (and its OracleInconsistency) is 4.
 """
 
 
@@ -44,3 +44,7 @@ class WindowTooSmall(BiprojError):
 
 class VerificationMismatch(BiprojError):
     """A combinatorial result disagrees with the oracle."""
+
+
+class OracleInconsistency(VerificationMismatch):
+    """The oracle's own linear algebra broke an invariant it relies on."""

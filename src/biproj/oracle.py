@@ -8,7 +8,9 @@ matrix; its dimension is the Hilbert function.  Betti numbers come from
 Koszul homology: since x0 is a nonzerodivisor on the coordinate ring, Tor
 can be computed either from the full four-variable complex on the V's
 ("direct" engine) or from the three-variable complex on the quotients
-V_(u,v)/V_(u-1,v) ("reduced" engine, the default — much smaller blocks).
+V_(u,v)/V_(u-1,v) ("reduced" engine, the default — much smaller blocks),
+whose bases are the rows with the pivots V_(u,v) adds to V_(u-1,v) in the
+chain of echelon bases that _Spaces grows along u.
 """
 
 from collections import Counter
@@ -16,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidGrid, WindowTooSmall
+from .errors import InvalidGrid, OracleInconsistency, WindowTooSmall
 from .fields import Echelon, default_field
 from .grid import require_valid
 from .hilbert import HilbertMatrix
@@ -25,21 +27,16 @@ from .resolution import BettiTable
 
 def _powers(field, vals, kmax):
     """Array (kmax+1, N) whose row k holds vals**k."""
-    n = vals.shape[0]
-    if field.kind == "prime":
-        out = np.ones((kmax + 1, n), dtype=np.int64)
-        for k in range(1, kmax + 1):
-            out[k] = out[k - 1] * vals % field.p
-    else:
-        out = np.empty((kmax + 1, n), dtype=object)
-        out[0, :] = field.scalar(1)
-        for k in range(1, kmax + 1):
-            out[k] = out[k - 1] * vals
-    return out
+    rows = [field.ones(vals.shape[0])]
+    for _ in range(kmax):
+        rows.append(field.scale_columns(rows[-1][None, :], vals)[0])
+    return np.vstack(rows)
 
 
 class _Spaces:
-    """Echelon bases of every value space V_(u,v) on a window."""
+    """Echelon bases of every value space V_(u,v) on a window.  ech[(u,v)] is
+    the rref of ech[(u-1,v)].rows and the rows t^u u^b, b <= v, which is the
+    rref of all its monomial rows (a reduced echelon form is unique)."""
 
     def __init__(self, grid, field, window):
         require_valid(grid, allow_empty_lines=True)
@@ -51,18 +48,14 @@ class _Spaces:
         self.tvals = field.vector([ts[i] for (i, _) in self.points])
         self.uvals = field.vector([us[j] for (_, j) in self.points])
         wi, wj = window
-        # every monomial t^a u^b at every point, once; each cell's rows are
-        # a slice of it (possibly a view: rref leaves its input unchanged)
         tpow = _powers(field, self.tvals, wi)
         upow = _powers(field, self.uvals, wj)
-        mono = tpow[:, None, :] * upow[None, :, :]
-        if field.kind == "prime":
-            mono = mono % field.p
         self.ech = {}
         for u in range(wi + 1):
+            new = field.scale_columns(upow, tpow[u])  # row b holds t^u u^b
             for v in range(wj + 1):
-                rows = mono[: u + 1, : v + 1].reshape((u + 1) * (v + 1), len(self.points))
-                self.ech[(u, v)] = field.rref(rows)
+                below = self.ech[(u - 1, v)].rows if u else new[:0]
+                self.ech[(u, v)] = field.rref(np.vstack([below, new[: v + 1]]))
 
     def dim(self, u, v):
         if u < 0 or v < 0:
@@ -120,7 +113,8 @@ def separating_degree_oracle(grid_Y, point, field=None, window=None):
     m_y = hilbert_oracle(grid_Y, field, window)
     m_z = hilbert_oracle(grid_Y.without(point), field, window)
     diff = m_y.entries - m_z.entries
-    assert ((diff == 0) | (diff == 1)).all()
+    if not ((diff == 0) | (diff == 1)).all():
+        raise OracleInconsistency("removing one point changed a dimension by more than 1")
     cells = {(int(i), int(j)) for i, j in zip(*np.nonzero(diff))}
     return _upset_root(cells, m_y.window)
 
@@ -186,10 +180,13 @@ class _KoszulModule:
             out = (_empty_ech(field, n), self.spaces.ech[(u, v)])
         else:
             sub = self.spaces.ech[(u - 1, v)] if u >= 1 else _empty_ech(field, n)
-            w = field.reduce_rows(self.spaces.ech[(u, v)].rows, sub)
-            bas = field.rref(w)
-            assert len(bas.pivots) == self.spaces.dim(u, v) - self.spaces.dim(u - 1, v)
-            out = (sub, bas)
+            ech = self.spaces.ech[(u, v)]
+            old = set(sub.pivots)
+            keep = [l for l, c in enumerate(ech.pivots) if c not in old]
+            if len(keep) != len(ech.pivots) - len(old):
+                raise OracleInconsistency(
+                    "pivots of V_(%d,%d) are not among those of V_(%d,%d)" % (u - 1, v, u, v))
+            out = (sub, Echelon(ech.rows[keep], tuple(ech.pivots[l] for l in keep)))
         self._comp[key] = out
         return out
 
@@ -210,7 +207,8 @@ class _KoszulModule:
             w = field.reduce_rows(w, tsub)
         coords = w[:, list(tbas.pivots)]
         resid = field.reduce_rows(w, tbas)
-        assert not (resid != 0).any(), "image escapes the target component"
+        if (resid != 0).any():
+            raise OracleInconsistency("image escapes the target component")
         self._mult[key] = coords
         return coords
 
@@ -255,12 +253,15 @@ def _homology_at(module, i, j):
         ranks[k] = field.rank(mat)
     h = [kdim[k] - ranks[k] - ranks[k + 1] for k in range(nvars + 1)]
     # Tor_0(S/I, k) is k in degree (0,0): a strong internal consistency check
-    assert h[0] == (1 if (i, j) == (0, 0) else 0)
+    if h[0] != (1 if (i, j) == (0, 0) else 0):
+        raise OracleInconsistency("Tor_0 is %d in degree (%d,%d)" % (h[0], i, j))
     return h
 
 
 def _betti_counters(spaces, engine):
     """k -> Counter of dim Tor_k by bidegree over the window, k = 0..#vars."""
+    if engine not in ("reduced", "direct"):
+        raise ValueError("unknown engine %r" % engine)
     module = _KoszulModule(spaces, reduced=(engine == "reduced"))
     nvars = len(module.vars)
     counters = {k: Counter() for k in range(nvars + 1)}
@@ -281,8 +282,6 @@ def betti_oracle(grid, field=None, engine="reduced", start_margin=2, max_margin=
     at margin `start_margin` beyond the grid size and doubles whenever a
     nonzero Betti number sits on the frontier, up to `max_margin`.
     """
-    if engine not in ("reduced", "direct"):
-        raise ValueError("unknown engine %r" % engine)
     field = field or default_field(grid.npoints)
     margin = start_margin
     while True:
@@ -297,9 +296,11 @@ def betti_oracle(grid, field=None, engine="reduced", start_margin=2, max_margin=
         ]
         if not frontier:
             table = BettiTable.make(counters[1], counters[2], counters.get(3, {}))
-            assert not table.hilbert_defects(spaces.hilbert())
-            if engine == "direct":
-                assert not counters[4], "nonzero Tor_4: %s" % counters[4]
+            defects = table.hilbert_defects(spaces.hilbert())
+            if defects:
+                raise OracleInconsistency("Betti table misses the Hilbert function: %s" % defects)
+            if engine == "direct" and counters[4]:
+                raise OracleInconsistency("nonzero Tor_4: %s" % counters[4])
             return table
         if margin >= max_margin:
             raise WindowTooSmall(

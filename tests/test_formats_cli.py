@@ -255,13 +255,18 @@ def test_cli_resolution_bad_plan_file(tmp_path, capsys, fixtures_dir, plan):
     ("fuzz", "--max-rows", "-1"),
     ("fuzz", "--max-cols", "-2"),
     ("fuzz", "--max-removals", "-1"),
+    ("fuzz", "--max-rows", "0"),
+    ("fuzz", "--max-cols", "0"),
 ])
 def test_cli_negative_counts_are_usage_errors(capsys, fixtures_dir, argv):
+    option, value = next(a for a in argv if a.startswith("--")), argv[-1]
     argv = [str(fixtures_dir / a) if a.endswith(".json") else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     obj = json.loads(err)
-    assert obj["error"] == "UsageError" and "negative" in obj["message"]
+    assert obj["error"] == "UsageError"
+    problem = "negative" if value.startswith("-") else "below 1"
+    assert obj["message"].startswith("argument %s: %s is %s" % (option, value, problem))
 
 
 def test_cli_table_equals_json(capsys, fixtures_dir):

@@ -1,14 +1,24 @@
 """Rank/Koszul-homology verification engine."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import biproj
+from biproj.cli import random_plan, random_staircase
 from biproj.errors import BadField
-from biproj.fields import GFP, QQ, PrimeField
+from biproj.fields import GFP, QQ, Echelon, PrimeField
 from biproj.grid import PointGrid, staircase
 from biproj.oracle import (
+    _base_window,
+    _KoszulModule,
+    _Spaces,
     _upset_root,
     betti_oracle,
     drop_sets,
@@ -95,6 +105,72 @@ def test_betti_oracle_fields_agree_scrambled_rational_params():
 def test_betti_oracle_rejects_unknown_engine(two_row):
     with pytest.raises(ValueError):
         betti_oracle(two_row, engine="floating")
+    with pytest.raises(ValueError, match="unknown engine"):
+        tor_dimensions(staircase((2, 1)), 1, engine="floating")
+
+
+def test_oracle_checks_survive_python_O():
+    # a rank that is always 0 breaks Tor_0 and the Hilbert function; the
+    # oracle must say so even with asserts compiled away
+    code = "\n".join([
+        "import sys",
+        "from biproj import OracleInconsistency, PrimeField, betti_oracle, staircase",
+        "PrimeField.rank = lambda self, A: 0",
+        "try:",
+        "    betti_oracle(staircase((2, 1)), PrimeField())",
+        "except OracleInconsistency:",
+        "    print(sys.flags.optimize, 'raised')",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(biproj.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "1 raised\n", proc.stderr
+
+
+def _chain_schemes():
+    """Seeded schemes: ACM, punctured and non-ACM, each also with its lines
+    shuffled and given non-integer parameters."""
+    rng = np.random.default_rng(20260818)
+    x = staircase((4, 4, 3, 2))
+    mask = rng.random((4, 4)) < 0.6
+    plain = [
+        staircase((4, 3, 3, 1)),
+        random_staircase(rng, 4, 4),
+        remove_points(x, random_plan(x, rng, 2)).grid_z,
+        PointGrid.from_points(4, 4, [(int(i), int(j)) for i, j in zip(*np.nonzero(mask))]),
+    ]
+    out = []
+    for g in plain:
+        nr, nc = g.shape
+        rp, cp = rng.permutation(nr), rng.permutation(nc)
+        params = lambda n: [int(m) - 4 + Fraction(1, 2 + int(m) % 3) for m in rng.permutation(9)[:n]]
+        out += [g, PointGrid.from_points(
+            nr, nc, [(int(rp[i]), int(cp[j])) for i, j in g.points()],
+            row_params=params(nr), col_params=params(nc))]
+    return out
+
+
+def _assert_same_echelon(ech, ref):
+    assert ech.pivots == ref.pivots
+    assert ech.rows.dtype == ref.rows.dtype and ech.rows.shape == ref.rows.shape
+    assert (ech.rows == ref.rows).all()
+
+
+@pytest.mark.parametrize("field", [QQ, GFP, PrimeField(101)], ids=lambda f: f.name)
+def test_value_space_chain_matches_full_elimination(field):
+    # references: each V_(u,v) eliminated from all its monomial rows, valued
+    # with Fractions; each quotient basis rebuilt by reduce_rows + rref
+    for g in _chain_schemes():
+        spaces = _Spaces(g, field, _base_window(g))
+        module = _KoszulModule(spaces, reduced=True)
+        pts, n = g.points(), g.npoints
+        for (u, v), ech in spaces.ech.items():
+            rows = [[Fraction(g.row_params[i]) ** a * Fraction(g.col_params[j]) ** b
+                     for (i, j) in pts] for a in range(u + 1) for b in range(v + 1)]
+            _assert_same_echelon(ech, field.rref(field.array(rows)))
+            sub = spaces.ech[(u - 1, v)] if u else Echelon(field.zeros(0, n), ())
+            _assert_same_echelon(module._component(u, v)[1],
+                                 field.rref(field.reduce_rows(ech.rows, sub)))
 
 
 def test_tor_dimensions(two_row):
