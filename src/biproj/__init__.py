@@ -19,6 +19,7 @@ from .errors import (
     NotInterior,
     OracleInconsistency,
     PointNotInScheme,
+    ResolutionInconsistency,
     VerificationMismatch,
     WindowTooSmall,
 )

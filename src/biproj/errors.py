@@ -2,7 +2,8 @@
 
 The CLI maps these onto its exit-code contract: InvalidGrid and friends
 are bad input (1), NotACM is 2, CollinearRemoval/NotInterior are 3 and
-VerificationMismatch (and its OracleInconsistency) is 4.
+VerificationMismatch (and its OracleInconsistency and
+ResolutionInconsistency) is 4.
 """
 
 
@@ -48,3 +49,7 @@ class VerificationMismatch(BiprojError):
 
 class OracleInconsistency(VerificationMismatch):
     """The oracle's own linear algebra broke an invariant it relies on."""
+
+
+class ResolutionInconsistency(VerificationMismatch):
+    """The combinatorial resolution broke an invariant it relies on."""

@@ -2,8 +2,9 @@
 
 Matrices are numpy arrays throughout: dtype=object holding Fraction for the
 rationals, dtype=int64 for a prime field.  Both field classes expose the
-same small API (scalar conversion, rref, rank, reduce_rows), so the oracle
-code is field-agnostic.
+same small API (scalar conversion, rref, extend, rank, reduce_rows), so the
+oracle code is field-agnostic.  extend(ech, new) is the rref of ech's rows
+stacked on new, which is how the oracle grows its chains of value spaces.
 
 Over the rationals the elimination itself runs on Python ints.  Each row is
 multiplied by the lcm of its denominators, then a fraction-free Gauss-Jordan
@@ -14,9 +15,18 @@ echelon form is rows / d, and Fractions are built only for the rows that
 are returned.  Fraction arithmetic would instead run a gcd on every
 operation.
 
-With p = 2**31 - 1 every single product of two reduced residues stays below
-2**63, so the modular elimination can use plain int64 arithmetic with one
-reduction per multiply.
+Over a prime field with (p-1)**2 < 2**63 (p = 2**31 - 1 by default) the
+elimination runs on int64 residues.  A row operation multiplies by one
+scalar, so a single product of residues is reduced at once.  reduce_rows and
+extend clear many pivots in one matrix product instead: the right factor is
+split into 16-bit halves, which keeps every partial sum of up to 2**15
+products below 2**63, and longer inner dimensions are cut into chunks of
+that size (PrimeField._mul).  extend reduces the new rows against the
+echelon in one such product, eliminates only the residual, clears the
+residual's pivots from the old rows in another and merges the rows by pivot
+column; rank eliminates forward only.  Over the rationals, extend eliminates
+the whole stack again: reducing against rows that carry the denominators of
+every earlier step costs more than it saves.
 """
 
 from fractions import Fraction
@@ -33,6 +43,9 @@ DEFAULT_PRIME = 2**31 - 1
 # default; larger ones fall back to the prime field (with a rationals
 # recheck on any disagreement, handled by the callers that compare results).
 RATIONALS_POINT_LIMIT = 30
+
+# Longest inner dimension PrimeField._mul sums in one int64 product.
+_INNER_MAX = 2**15
 
 _ZERO = Fraction(0)
 
@@ -155,6 +168,12 @@ class Rationals:
             out[i, :] = [Fraction(x, d) if x else _ZERO for x in rows[i]]
         return Echelon(out, tuple(pivots))
 
+    def extend(self, ech, new):
+        """The rref of ech.rows stacked on new.  Eliminating the whole stack
+        again is faster here than reducing new against ech, whose rows carry
+        the denominators of every earlier step."""
+        return self.rref(np.vstack([ech.rows, new]))
+
     def rank(self, A):
         rows = [_int_row(row)[0] for row in A.tolist()]
         return len(_fraction_free(rows, A.shape[1], jordan=False)[0])
@@ -267,9 +286,24 @@ class PrimeField:
     def scale_columns(self, A, scale):
         return A * scale[None, :] % self.p
 
+    def _mul(self, A, B):
+        """A . B mod p, exact in int64, for A and B with entries in [0, p)."""
+        # B = hi * 2**16 + lo.  (p-1)**2 < 2**63 puts every entry below
+        # 2**31.5, so a product with lo (< 2**16) or hi (< 2**15.5) is below
+        # 2**47.5 and a sum of _INNER_MAX = 2**15 of them below 2**62.5;
+        # (hi-sum mod p) * 2**16 adds less than 2**47.5, still below 2**63.
+        # Longer inner dimensions are cut into chunks of _INNER_MAX.
+        p = self.p
+        out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+        for k in range(0, A.shape[1], _INNER_MAX):
+            a, b = A[:, k : k + _INNER_MAX], B[k : k + _INNER_MAX]
+            hi = a @ (b >> 16) % p
+            out = (out + ((hi << 16) + a @ (b & 0xFFFF)) % p) % p
+        return out
+
     def rref(self, A):
         p = self.p
-        A = A.copy() % p
+        A = A % p
         m, n = A.shape
         r = 0
         pivots = []
@@ -291,17 +325,55 @@ class PrimeField:
                 break
         return Echelon(A[:r], tuple(pivots))
 
+    def extend(self, ech, new):
+        """The rref of ech.rows stacked on new, for ech already reduced.
+
+        new is reduced against ech in one product and only the residual is
+        eliminated; its pivots are then cleared from ech's rows and the two
+        sets of rows are merged by pivot column.
+        """
+        res = self.rref(self.reduce_rows(new, ech))
+        if not res.pivots:
+            return ech
+        old = self.reduce_rows(ech.rows, res)
+        pivots = ech.pivots + res.pivots
+        order = np.argsort(pivots, kind="stable")
+        return Echelon(np.vstack([old, res.rows])[order],
+                       tuple(pivots[i] for i in order))
+
     def rank(self, A):
-        return len(self.rref(A).pivots)
+        """Forward elimination only: each pivot clears the column below it."""
+        p = self.p
+        A = A % p
+        m, n = A.shape
+        r = 0
+        for c in range(n):
+            if r == m:
+                break
+            hits = np.nonzero(A[r:, c])[0]
+            if hits.size == 0:
+                continue
+            pivot = r + int(hits[0])
+            if pivot != r:
+                A[[r, pivot], c:] = A[[pivot, r], c:]
+            below = r + 1 + np.nonzero(A[r + 1 :, c])[0]
+            if below.size:
+                f = A[below, c] * pow(int(A[r, c]), -1, p) % p
+                A[below, c:] = (A[below, c:] - f[:, None] * A[r, None, c:]) % p
+            r += 1
+        return r
 
     def reduce_rows(self, W, ech):
-        p = self.p
-        W = W.copy() % p
-        for l, c in enumerate(ech.pivots):
-            f = W[:, c].copy()
-            if np.any(f):
-                W = (W - f[:, None] * ech.rows[l][None, :]) % p
-        return W
+        """Eliminates ech's pivot coordinates from every row of W.
+
+        Returns W - W[:, pivots] . ech.rows (mod p) in one product: ech is
+        fully reduced, so subtracting one basis row leaves W's entries in
+        the other pivot columns as they were.
+        """
+        W = W % self.p
+        if not ech.pivots:
+            return W
+        return (W - self._mul(W[:, list(ech.pivots)], ech.rows)) % self.p
 
 
 QQ = Rationals()

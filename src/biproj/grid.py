@@ -15,6 +15,12 @@ from fractions import Fraction
 from .errors import InvalidGrid, NotACM, PointNotInScheme
 
 
+# Largest number of grid positions (rows x cols) a PointGrid may have.  The
+# incidence table is a Python list of that many flags, and the combinatorial
+# scans walk all of it; the exact oracle stops being practical far below.
+MAX_GRID_CELLS = 2**20
+
+
 def dominates(d1, d2):
     """(i1,j1) >= (i2,j2) componentwise."""
     return d1[0] >= d2[0] and d1[1] >= d2[1]
@@ -33,8 +39,13 @@ class PointGrid:
 
     @staticmethod
     def from_points(nrows, ncols, points, row_params=None, col_params=None):
+        """The grid of nrows x ncols lines carrying `points`; at most
+        MAX_GRID_CELLS positions, checked before anything is allocated."""
         if nrows < 1 or ncols < 1:
             raise InvalidGrid("grid must have at least one row and one column")
+        if nrows * ncols > MAX_GRID_CELLS:
+            raise InvalidGrid("a %dx%d grid exceeds the cap of %d positions"
+                              % (nrows, ncols, MAX_GRID_CELLS))
         inc = [[False] * ncols for _ in range(nrows)]
         for (i, j) in points:
             if not (0 <= i < nrows and 0 <= j < ncols):

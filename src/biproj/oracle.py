@@ -35,8 +35,8 @@ def _powers(field, vals, kmax):
 
 class _Spaces:
     """Echelon bases of every value space V_(u,v) on a window.  ech[(u,v)] is
-    the rref of ech[(u-1,v)].rows and the rows t^u u^b, b <= v, which is the
-    rref of all its monomial rows (a reduced echelon form is unique)."""
+    ech[(u-1,v)] extended by the rows t^u u^b, b <= v, which is the rref of
+    all its monomial rows (a reduced echelon form is unique)."""
 
     def __init__(self, grid, field, window):
         require_valid(grid, allow_empty_lines=True)
@@ -54,8 +54,8 @@ class _Spaces:
         for u in range(wi + 1):
             new = field.scale_columns(upow, tpow[u])  # row b holds t^u u^b
             for v in range(wj + 1):
-                below = self.ech[(u - 1, v)].rows if u else new[:0]
-                self.ech[(u, v)] = field.rref(np.vstack([below, new[: v + 1]]))
+                self.ech[(u, v)] = (field.extend(self.ech[(u - 1, v)], new[: v + 1])
+                                    if u else field.rref(new[: v + 1]))
 
     def dim(self, u, v):
         if u < 0 or v < 0:
@@ -258,10 +258,13 @@ def _homology_at(module, i, j):
     return h
 
 
-def _betti_counters(spaces, engine):
-    """k -> Counter of dim Tor_k by bidegree over the window, k = 0..#vars."""
+def _check_engine(engine):
     if engine not in ("reduced", "direct"):
         raise ValueError("unknown engine %r" % engine)
+
+
+def _betti_counters(spaces, engine):
+    """k -> Counter of dim Tor_k by bidegree over the window, k = 0..#vars."""
     module = _KoszulModule(spaces, reduced=(engine == "reduced"))
     nvars = len(module.vars)
     counters = {k: Counter() for k in range(nvars + 1)}
@@ -282,6 +285,7 @@ def betti_oracle(grid, field=None, engine="reduced", start_margin=2, max_margin=
     at margin `start_margin` beyond the grid size and doubles whenever a
     nonzero Betti number sits on the frontier, up to `max_margin`.
     """
+    _check_engine(engine)
     field = field or default_field(grid.npoints)
     margin = start_margin
     while True:
@@ -311,6 +315,7 @@ def betti_oracle(grid, field=None, engine="reduced", start_margin=2, max_margin=
 
 def tor_dimensions(grid, k, field=None, engine="direct", window=None):
     """Counter of dim Tor_k(S/I_X) by bidegree over the window."""
+    _check_engine(engine)
     field = field or default_field(grid.npoints)
     counters = _betti_counters(_Spaces(grid, field, _base_window(grid, window=window)), engine)
     if k not in counters:

@@ -12,7 +12,13 @@ only way to notice the answer is wrong).
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import CollinearRemoval, NotACM, NotInterior, PointNotInScheme
+from .errors import (
+    CollinearRemoval,
+    NotACM,
+    NotInterior,
+    PointNotInScheme,
+    ResolutionInconsistency,
+)
 from .grid import (
     PointKind,
     classify_points,
@@ -33,7 +39,8 @@ def _canon(entries):
     if isinstance(entries, (dict, Counter)):
         c = Counter()
         for d, m in dict(entries).items():
-            assert m >= 0
+            if m < 0:
+                raise ResolutionInconsistency("negative multiplicity %r at %s" % (m, d))
             if m:
                 c[(int(d[0]), int(d[1]))] = int(m)
     else:
@@ -96,12 +103,20 @@ def betti_diff(t1, t2):
     return out
 
 
+def _check_euler(table, M):
+    """A resolution of S/I_X has rank alternation 1 and Euler characteristic M."""
+    if table.rank_alternation() != 1:
+        raise ResolutionInconsistency("rank alternation %d, not 1" % table.rank_alternation())
+    defects = table.hilbert_defects(M)
+    if defects:
+        raise ResolutionInconsistency("Betti table misses the Hilbert function: %s" % defects)
+
+
 def acm_resolution(grid):
     """beta0 = corners, beta1 = vertices, beta2 empty (ACM schemes only)."""
     corners, vertices = corners_and_vertices(grid)
     table = BettiTable.make(corners, vertices)
-    assert table.rank_alternation() == 1
-    assert not table.hilbert_defects(hilbert_acm(grid))
+    _check_euler(table, hilbert_acm(grid))
     return table
 
 
@@ -235,12 +250,17 @@ def remove_points(grid, plan):
     for point, (q, p) in zip(plan.points, plan.degrees):
         # distinct rows/cols keep this point's line counts untouched
         h, k = point
-        assert current.col_counts()[k] == q + 1 and current.row_counts()[h] == p + 1
+        if current.col_counts()[k] != q + 1 or current.row_counts()[h] != p + 1:
+            raise ResolutionInconsistency(
+                "line counts through (%d,%d) do not give degree (%d,%d)" % (h, k, q, p))
         report = check_mapping_cone_conditions(table, q, p)
         conds.append(report)
-        assert report.ok, "mapping-cone conditions failed at %s" % (report,)
+        if not report.ok:
+            raise ResolutionInconsistency("mapping-cone conditions failed at %s" % (report,))
         sep = separator_for(current, point)
-        assert sep.degree == (q, p)
+        if sep.degree != (q, p):
+            raise ResolutionInconsistency(
+                "separator of (%d,%d) has degree %s, not (%d,%d)" % (h, k, sep.degree, q, p))
         seps.append(sep)
         b0[(q, p)] += 1
         b1[(q + 1, p)] += 1
@@ -249,8 +269,7 @@ def remove_points(grid, plan):
         table = BettiTable.make(b0, b1, b2)
         M = puncture_hilbert(M, q, p)
         current = current.without(point)
-    assert table.rank_alternation() == 1
-    assert not table.hilbert_defects(M)
+    _check_euler(table, M)
     return RemovalResult(
         grid_z=current,
         betti=table,

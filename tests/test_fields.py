@@ -186,6 +186,12 @@ def test_rationals_kernel_matches_reference():
         assert _cells(red) == expected
         assert all(type(x) is Fraction for x in red.flat)
 
+        ext_rows, ext_pivots = _reference_rref(rows + wrows, n)
+        ext = QQ.extend(ech, W)
+        assert ext.pivots == tuple(ext_pivots)
+        assert ext.rows.shape == (len(ext_rows), n)
+        assert _cells(ext.rows) == ext_rows
+
 
 def test_rationals_rref_input_untouched():
     A = QQ.array([[Fraction(1, 2), 3, 0], [1, 6, Fraction(5, 3)]])
@@ -194,3 +200,116 @@ def test_rationals_rref_input_untouched():
     QQ.rank(A)
     QQ.reduce_rows(A, QQ.rref(A[:1]))
     assert _cells(A) == before
+
+
+# --------------------------------------- prime fields against plain ints
+
+# the largest prime p with (p-1)**2 < 2**63, the bound PrimeField accepts
+LARGEST_P = 3037000493
+
+
+def _reference_rref_mod(rows, ncols, p):
+    """Textbook Gauss-Jordan over Python ints mod p: (nonzero rows, pivots)."""
+    A = [[x % p for x in row] for row in rows]
+    r, pivots = 0, []
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if pivot is None:
+            continue
+        A[r], A[pivot] = A[pivot], A[r]
+        inv = pow(A[r][c], -1, p)
+        A[r] = [x * inv % p for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+    return A[:r], pivots
+
+
+def _random_rows_mod(rng, m, n, p):
+    """Residues with zeros, p - 1, a zero column and rank-deficient rows."""
+    def entry():
+        x = rng.random()
+        if x < 0.3:
+            return 0
+        if x < 0.45:
+            return p - 1
+        return rng.randrange(p)
+
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if n and rng.random() < 0.4:
+        zc = rng.randrange(n)
+        for row in rows:
+            row[zc] = 0
+    if m >= 3 and rng.random() < 0.5:
+        a, b = rng.randrange(p), rng.randrange(p)
+        rows[-1] = [(a * x + b * y) % p for x, y in zip(rows[0], rows[1])]
+    if m >= 2 and rng.random() < 0.2:
+        rows[rng.randrange(m)] = [0] * n
+    return rows
+
+
+def _gf(rows, n):
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+@pytest.mark.parametrize("field", [PrimeField(101), GFP], ids=lambda f: f.name)
+def test_prime_kernel_matches_reference(field):
+    p = field.p
+    rng = random.Random(22)
+    shapes = [(0, 0), (0, 5), (4, 0), (1, 1), (6, 6), (9, 4), (4, 9), (12, 3)]
+    shapes += [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(150)]
+    for idx, (m, n) in enumerate(shapes):
+        if idx == 4:
+            rows = [[p - 1] * n for _ in range(m)]
+        else:
+            rows = _random_rows_mod(rng, m, n, p)
+        A = _gf(rows, n)
+        ref_rows, ref_pivots = _reference_rref_mod(rows, n, p)
+
+        ech = field.rref(A)
+        assert ech.pivots == tuple(ref_pivots)
+        assert ech.rows.dtype == np.int64 and ech.rows.shape == (len(ref_rows), n)
+        assert ech.rows.tolist() == ref_rows
+        assert field.rank(A) == len(ref_pivots)
+        assert A.tolist() == rows  # inputs are left as they were
+
+        # reduce_rows against subtracting one basis row at a time
+        wrows = _random_rows_mod(rng, rng.randint(0, 5), n, p) + rows[:2]
+        expected = [list(w) for w in wrows]
+        for w in expected:
+            for l, c in enumerate(ref_pivots):
+                f = w[c]
+                w[:] = [(x - f * y) % p for x, y in zip(w, ref_rows[l])]
+        red = field.reduce_rows(_gf(wrows, n), ech)
+        assert red.dtype == np.int64 and red.tolist() == expected
+
+        # extend by a few rows, some of them already in the span
+        new = _random_rows_mod(rng, rng.randint(0, 4), n, p) + rows[1:2]
+        ext_rows, ext_pivots = _reference_rref_mod(rows + new, n, p)
+        ext = field.extend(ech, _gf(new, n))
+        assert ext.pivots == tuple(ext_pivots)
+        assert ext.rows.dtype == np.int64 and ext.rows.shape == (len(ext_rows), n)
+        assert ext.rows.tolist() == ext_rows
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1, LARGEST_P])
+def test_prime_product_exact_past_one_chunk(p):
+    # inner dimensions past 2**15 take the chunked path: without the split a
+    # sum of (p-1)**2 products overflows int64 (for the two large p), and
+    # without the chunks one of 2**16 products with the low halves does
+    field = PrimeField(p)
+    rng = np.random.default_rng(23)
+    full = lambda shape: np.full(shape, p - 1, dtype=np.int64)
+    for A, B in (
+        (full((1, 2**15 + 1)), full((2**15 + 1, 2))),
+        (full((1, 2**16)), full((2**16, 2))),
+        (rng.integers(0, p, (1, 2**15 + 1)), rng.integers(0, p, (2**15 + 1, 2))),
+    ):
+        a, cols = A[0].tolist(), B.T.tolist()
+        expected = [[sum(x * y for x, y in zip(a, col)) % p for col in cols]]
+        assert field._mul(A, B).tolist() == expected
+    assert field._mul(np.zeros((1, 0), dtype=np.int64),
+                      np.zeros((0, 2), dtype=np.int64)).tolist() == [[0, 0]]

@@ -223,6 +223,17 @@ def test_cli_resolution_mismatch_exit4(capsys, fixtures_dir):
     assert json.loads(err)["error"] == "VerificationMismatch"
 
 
+def test_cli_resolution_inconsistency_exit4(capsys, fixtures_dir, monkeypatch):
+    from biproj import resolution
+
+    monkeypatch.setattr(resolution, "check_mapping_cone_conditions",
+                        lambda table, r, s: resolution.ConditionReport((r, s), (), ((r + 1, s + 1),)))
+    code, _, err = run_cli(capsys, "resolution", str(fixtures_dir / "e1_X.json"),
+                           "--plan", str(fixtures_dir / "e1_plan.json"))
+    assert code == 4
+    assert json.loads(err)["error"] == "ResolutionInconsistency"
+
+
 def test_cli_resolution_separators(capsys, fixtures_dir):
     code, out, _ = run_cli(capsys, "resolution", str(fixtures_dir / "e3_X.json"),
                            "--remove", "0,1", "--separators", "--format", "json")

@@ -1,9 +1,13 @@
 """Grids of points: validation, staircase order, classification."""
 
+import tracemalloc
+
 import pytest
 
+from biproj import formats
 from biproj.errors import InvalidGrid, NotACM, PointNotInScheme
 from biproj.grid import (
+    MAX_GRID_CELLS,
     PointGrid,
     PointKind,
     classify_points,
@@ -35,6 +39,21 @@ def test_from_points_rejects_bad_input():
         PointGrid.from_points(2, 2, [(0, 0)], row_params=(0,))  # wrong length
     with pytest.raises(InvalidGrid):
         PointGrid.from_points(1, 2, [(0, 0)], col_params=(3, 3))  # repeated line
+
+
+def test_from_points_size_cap_checked_before_allocation():
+    tracemalloc.start()
+    try:
+        for nrows, ncols in ((1, MAX_GRID_CELLS + 1), (2**11, 2**10), (10**12, 3)):
+            with pytest.raises(InvalidGrid, match="exceeds the cap"):
+                PointGrid.from_points(nrows, ncols, [(0, 0)])
+        with pytest.raises(InvalidGrid, match="exceeds the cap"):
+            formats.parse_configuration({"rows": 10**9, "cols": 10**9, "points": []})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    assert PointGrid.from_points(14, 13, [(13, 12)]).shape == (14, 13)
 
 
 def test_validate_flags_empty_lines():

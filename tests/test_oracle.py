@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import biproj
+from biproj import oracle
 from biproj.cli import random_plan, random_staircase
 from biproj.errors import BadField
 from biproj.fields import GFP, QQ, Echelon, PrimeField
@@ -102,29 +103,44 @@ def test_betti_oracle_fields_agree_scrambled_rational_params():
     assert qq.counters() == res.betti.counters()
 
 
-def test_betti_oracle_rejects_unknown_engine(two_row):
+def test_betti_oracle_rejects_unknown_engine(two_row, monkeypatch):
+    # the name is checked before any value space is built
+    def no_spaces(*args):
+        raise AssertionError("value spaces built for an unknown engine")
+
+    monkeypatch.setattr(oracle, "_Spaces", no_spaces)
     with pytest.raises(ValueError):
         betti_oracle(two_row, engine="floating")
     with pytest.raises(ValueError, match="unknown engine"):
         tor_dimensions(staircase((2, 1)), 1, engine="floating")
+    with pytest.raises(ValueError, match="unknown engine"):
+        betti_oracle(staircase(range(18, 0, -1)), GFP, engine="floating")
 
 
 def test_oracle_checks_survive_python_O():
-    # a rank that is always 0 breaks Tor_0 and the Hilbert function; the
-    # oracle must say so even with asserts compiled away
+    # a rank that is always 0 breaks Tor_0 and the Hilbert function, and a
+    # mapping-cone report that always fails breaks a removal step; both must
+    # be reported even with asserts compiled away
     code = "\n".join([
         "import sys",
         "from biproj import OracleInconsistency, PrimeField, betti_oracle, staircase",
+        "from biproj import ConditionReport, ResolutionInconsistency, remove_points, resolution",
         "PrimeField.rank = lambda self, A: 0",
         "try:",
         "    betti_oracle(staircase((2, 1)), PrimeField())",
         "except OracleInconsistency:",
         "    print(sys.flags.optimize, 'raised')",
+        "resolution.check_mapping_cone_conditions = (",
+        "    lambda table, r, s: ConditionReport((r, s), ((r + 1, s + 1),), ()))",
+        "try:",
+        "    remove_points(staircase((3, 2, 1)), [(0, 0)])",
+        "except ResolutionInconsistency:",
+        "    print(sys.flags.optimize, 'raised')",
     ])
     env = dict(os.environ, PYTHONPATH=str(Path(biproj.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.stdout == "1 raised\n", proc.stderr
+    assert proc.stdout == "1 raised\n1 raised\n", proc.stderr
 
 
 def _chain_schemes():
