@@ -14,6 +14,7 @@ from .errors import (
     BiprojError,
     CollinearRemoval,
     InvalidGrid,
+    InvalidMatrix,
     NonPositiveEntry,
     NotACM,
     NotInterior,
@@ -21,7 +22,6 @@ from .errors import (
     PointNotInScheme,
     ResolutionInconsistency,
     VerificationMismatch,
-    WindowTooSmall,
 )
 from .fields import GFP, QQ, PrimeField, Rationals, default_field, field_by_name
 from .grid import (

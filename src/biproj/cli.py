@@ -25,7 +25,7 @@ from .errors import (
     VerificationMismatch,
 )
 from .fields import QQ, default_field, field_by_name
-from .grid import PointKind, classify_points, corners_and_vertices, is_acm, validate
+from .grid import MAX_GRID_CELLS, PointKind, classify_points, corners_and_vertices, is_acm, validate
 from .hilbert import delta, hilbert_acm
 from .oracle import betti_oracle, hilbert_oracle, verify_separator
 from .resolution import (
@@ -103,24 +103,24 @@ def cmd_validate(args):
 
 def _hilbert_matrix(args, grid):
     if args.oracle:
-        window = tuple(args.window) if args.window else None
-        return hilbert_oracle(grid, _resolve_field(args), window=window)
+        return hilbert_oracle(grid, _resolve_field(args))
     try:
         return hilbert_acm(grid)
     except NotACM:
         raise NotACM("scheme is not ACM; use --oracle for the rank-based matrix")
 
 
-def _window_entries(M, window):
+def _window_entries(entry, window):
+    """entry(i, j) on the window; M.m clamps, D.c zero-extends."""
     wi, wj = window
-    return np.array([[M.m(i, j) for j in range(wj + 1)] for i in range(wi + 1)])
+    return np.array([[entry(i, j) for j in range(wj + 1)] for i in range(wi + 1)])
 
 
 def cmd_hilbert(args):
     grid = _load(args)
     M = _hilbert_matrix(args, grid)
     window = tuple(args.window) if args.window else M.window
-    entries = _window_entries(M, window)
+    entries = _window_entries(M.m, window)
     _emit(args, formats.matrix_to_json(entries, "hilbert"),
           formats.render_matrix(entries))
     return EXIT_OK
@@ -135,7 +135,7 @@ def cmd_delta(args):
         support = np.nonzero(D.entries)
         wi = int(support[0].max()) if support[0].size else 0
         wj = int(support[1].max()) if support[1].size else 0
-    entries = np.array([[D.c(i, j) for j in range(wj + 1)] for i in range(wi + 1)])
+    entries = _window_entries(D.c, (wi, wj))
     _emit(args, formats.matrix_to_json(entries, "delta"),
           formats.render_matrix(entries))
     return EXIT_OK
@@ -379,6 +379,11 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        window = getattr(args, "window", None)
+        cells = (window[0] + 1) * (window[1] + 1) if window else 0
+        if cells > MAX_GRID_CELLS:
+            parser.error("argument --window: %d %d spans %d cells; expected at most %d"
+                         % (*window, cells, MAX_GRID_CELLS))
     except SystemExit as e:
         return e.code or EXIT_OK
     try:

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto its exit-code contract: InvalidGrid and friends
-are bad input (1), NotACM is 2, CollinearRemoval/NotInterior are 3 and
-VerificationMismatch (and its OracleInconsistency and
+The CLI maps these onto its exit-code contract: InvalidGrid, InvalidMatrix
+and friends are bad input (1), NotACM is 2, CollinearRemoval/NotInterior
+are 3 and VerificationMismatch (and its OracleInconsistency and
 ResolutionInconsistency) is 4.
 """
 
@@ -39,8 +39,8 @@ class BadField(BiprojError):
     """Line parameters collide (or are undefined) in the requested field."""
 
 
-class WindowTooSmall(BiprojError):
-    """Nonzero Betti numbers persist on the window frontier at the margin cap."""
+class InvalidMatrix(BiprojError):
+    """A Hilbert or first-difference matrix violates a structural invariant."""
 
 
 class VerificationMismatch(BiprojError):

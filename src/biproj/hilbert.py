@@ -2,7 +2,7 @@
 
 Matrices are materialized on the window (0..a+2) x (0..b+2) so that the
 stable region (value deg X for M, zeros for Delta) is visible inside the
-window and boundary conditions can be asserted rather than assumed.
+window and boundary conditions can be checked rather than assumed.
 Accessors clamp/zero-extend beyond the window.
 """
 
@@ -10,13 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveEntry, NotACM
+from .errors import InvalidMatrix, NonPositiveEntry, NotACM
 from .grid import ValidationReport, corner_vertex_cells, is_staircase, normalize
 
 
 def _freeze(entries):
     arr = np.array(entries, dtype=np.int64)
-    assert arr.ndim == 2 and arr.shape[0] >= 1 and arr.shape[1] >= 1
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise InvalidMatrix("expected a nonempty 2-d matrix, got shape %s" % (arr.shape,))
     arr.setflags(write=False)
     return arr
 
@@ -29,12 +30,16 @@ class HilbertMatrix:
     def __post_init__(self):
         arr = _freeze(self.entries)
         object.__setattr__(self, "entries", arr)
-        assert arr.shape[0] >= 2 and arr.shape[1] >= 2
-        assert (arr >= 0).all() and arr[0, 0] <= 1
-        assert (np.diff(arr, axis=0) >= 0).all() and (np.diff(arr, axis=1) >= 0).all()
-        # the window must reach the stable region
-        assert (arr[-1] == arr[-2]).all() and (arr[:, -1] == arr[:, -2]).all()
-        assert arr[-1, -1] == self.degree
+        # with monotonicity, 0 <= m_00 makes every entry nonnegative
+        if arr.shape[0] < 2 or arr.shape[1] < 2 or not 0 <= arr[0, 0] <= 1:
+            raise InvalidMatrix("Hilbert matrix needs a 2x2 window and 0 <= m_00 <= 1")
+        if (np.diff(arr, axis=0) < 0).any() or (np.diff(arr, axis=1) < 0).any():
+            raise InvalidMatrix("Hilbert matrix is not monotone")
+        # the window must reach the stable region, whose value is the degree
+        if (arr[-1] != arr[-2]).any() or (arr[:, -1] != arr[:, -2]).any() \
+                or arr[-1, -1] != self.degree:
+            raise InvalidMatrix("Hilbert matrix window does not reach the stable value %d"
+                                % self.degree)
 
     @property
     def window(self):
@@ -89,10 +94,9 @@ def accumulate(D):
 def delta(M):
     """c_ij = m_ij - m_{i-1,j} - m_{i,j-1} + m_{i-1,j-1}."""
     p = np.pad(M.entries, ((1, 0), (1, 0)))
-    d = p[1:, 1:] - p[:-1, 1:] - p[1:, :-1] + p[:-1, :-1]
-    # M is stabilized on its window, so the support sits strictly inside
-    assert not d[-1].any() and not d[:, -1].any()
-    return DeltaMatrix(d)
+    # HilbertMatrix checks that M is stable on its window, so the support
+    # sits strictly inside
+    return DeltaMatrix(p[1:, 1:] - p[:-1, 1:] - p[1:, :-1] + p[:-1, :-1])
 
 
 def hilbert_acm(grid):

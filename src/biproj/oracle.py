@@ -11,6 +11,9 @@ can be computed either from the full four-variable complex on the V's
 V_(u,v)/V_(u-1,v) ("reduced" engine, the default — much smaller blocks),
 whose bases are the rows with the pivots V_(u,v) adds to V_(u-1,v) in the
 chain of echelon bases that _Spaces grows along u.
+Windows depend on the grid alone: Betti numbers on (nr, nc), which holds
+them all (proof in betti_oracle), Hilbert matrices and drop sets on
+(nr+1, nc+1), the window of hilbert_acm.
 """
 
 from collections import Counter
@@ -18,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidGrid, OracleInconsistency, WindowTooSmall
+from .errors import InvalidGrid, OracleInconsistency
 from .fields import Echelon, default_field
 from .grid import require_valid
 from .hilbert import HilbertMatrix
@@ -71,19 +74,16 @@ class _Spaces:
         return HilbertMatrix(m, degree=len(self.points))
 
 
-def _base_window(grid, margin=2, window=None):
-    """The grid size plus `margin` in both directions, widened to `window`."""
+def _base_window(grid, margin=2):
+    """The last grid index plus `margin`: margin 1 is (nr, nc)."""
     nr, nc = grid.shape
-    wi, wj = nr - 1 + margin, nc - 1 + margin
-    if window is not None:
-        wi, wj = max(wi, window[0]), max(wj, window[1])
-    return (wi, wj)
+    return (nr - 1 + margin, nc - 1 + margin)
 
 
-def hilbert_oracle(grid, field=None, window=None):
-    """M(i,j) = rank of the evaluation matrix, on at least the base window."""
+def hilbert_oracle(grid, field=None):
+    """M(i,j) = rank of the evaluation matrix, on the window (nr+1, nc+1)."""
     field = field or default_field(grid.npoints)
-    return _Spaces(grid, field, _base_window(grid, window=window)).hilbert()
+    return _Spaces(grid, field, _base_window(grid)).hilbert()
 
 
 def _upset_root(cells, window):
@@ -103,15 +103,15 @@ def _upset_root(cells, window):
     return (r, s) if cells == expected else None
 
 
-def separating_degree_oracle(grid_Y, point, field=None, window=None):
+def separating_degree_oracle(grid_Y, point, field=None):
     """Unique minimal separating degree of a point of Y, or None.
 
     Computes H_Y and H_{Y minus P} on the window literally; the drop set
     must be exactly the up-set of a single bidegree.
     """
     field = field or default_field(grid_Y.npoints)
-    m_y = hilbert_oracle(grid_Y, field, window)
-    m_z = hilbert_oracle(grid_Y.without(point), field, window)
+    m_y = hilbert_oracle(grid_Y, field)
+    m_z = hilbert_oracle(grid_Y.without(point), field)
     diff = m_y.entries - m_z.entries
     if not ((diff == 0) | (diff == 1)).all():
         raise OracleInconsistency("removing one point changed a dimension by more than 1")
@@ -119,7 +119,7 @@ def separating_degree_oracle(grid_Y, point, field=None, window=None):
     return _upset_root(cells, m_y.window)
 
 
-def drop_sets(grid, field=None, window=None):
+def drop_sets(grid, field=None):
     """All separating drop sets at once: point -> {(i,j) : rank drops}.
 
     Deleting point P's coordinate loses a dimension exactly when the unit
@@ -127,7 +127,7 @@ def drop_sets(grid, field=None, window=None):
     P is a pivot column whose basis row is e_P itself.
     """
     field = field or default_field(grid.npoints)
-    spaces = _Spaces(grid, field, _base_window(grid, window=window))
+    spaces = _Spaces(grid, field, _base_window(grid))
     drops = {pos: set() for pos in spaces.points}
     for (u, v), ech in spaces.ech.items():
         if not ech.pivots:
@@ -278,46 +278,36 @@ def _betti_counters(spaces, engine):
     return counters
 
 
-def betti_oracle(grid, field=None, engine="reduced", start_margin=2, max_margin=8):
+def betti_oracle(grid, field=None, engine="reduced"):
     """True bigraded Betti numbers by Koszul homology.
 
-    beta0 = Tor_1(S/I_X), beta1 = Tor_2, beta2 = Tor_3.  The window starts
-    at margin `start_margin` beyond the grid size and doubles whenever a
-    nonzero Betti number sits on the frontier, up to `max_margin`.
+    beta0 = Tor_1(S/I_X), beta1 = Tor_2, beta2 = Tor_3, all inside the
+    window (nr, nc).  Proof: the points take at most nr distinct row values
+    (fewer with empty rows), so by interpolation V_(u,v) = V_(nr-1,v) for
+    u >= nr-1 and N'_(u,v) = V_(u,v)/V_(u-1,v) is 0 for u >= nr.  The
+    Koszul complex of N' on x1, y0, y1 uses x1 at most once, so in degree
+    (i,j) its terms lie in N'_(i,.) and N'_(i-1,.), and every Tor_k
+    vanishes for i > nr.  Reducing by y0 gives j > nc the same way.
     """
     _check_engine(engine)
     field = field or default_field(grid.npoints)
-    margin = start_margin
-    while True:
-        window = _base_window(grid, margin)
-        spaces = _Spaces(grid, field, window)
-        counters = _betti_counters(spaces, engine)
-        frontier = [
-            (i, j)
-            for k in (1, 2, 3)
-            for (i, j) in counters[k]
-            if i == window[0] or j == window[1]
-        ]
-        if not frontier:
-            table = BettiTable.make(counters[1], counters[2], counters.get(3, {}))
-            defects = table.hilbert_defects(spaces.hilbert())
-            if defects:
-                raise OracleInconsistency("Betti table misses the Hilbert function: %s" % defects)
-            if engine == "direct" and counters[4]:
-                raise OracleInconsistency("nonzero Tor_4: %s" % counters[4])
-            return table
-        if margin >= max_margin:
-            raise WindowTooSmall(
-                "Betti numbers %s on the frontier at margin %d" % (frontier, margin)
-            )
-        margin = min(max_margin, margin * 2)
+    spaces = _Spaces(grid, field, _base_window(grid, 1))
+    counters = _betti_counters(spaces, engine)
+    table = BettiTable.make(counters[1], counters[2], counters[3])
+    defects = table.hilbert_defects(spaces.hilbert())
+    if defects:
+        raise OracleInconsistency("Betti table misses the Hilbert function: %s" % defects)
+    if engine == "direct" and counters[4]:
+        raise OracleInconsistency("nonzero Tor_4: %s" % counters[4])
+    return table
 
 
-def tor_dimensions(grid, k, field=None, engine="direct", window=None):
-    """Counter of dim Tor_k(S/I_X) by bidegree over the window."""
+def tor_dimensions(grid, k, field=None, engine="direct"):
+    """Counter of dim Tor_k(S/I_X) by bidegree; every nonzero one lies in
+    the window (nr, nc) of betti_oracle."""
     _check_engine(engine)
     field = field or default_field(grid.npoints)
-    counters = _betti_counters(_Spaces(grid, field, _base_window(grid, window=window)), engine)
+    counters = _betti_counters(_Spaces(grid, field, _base_window(grid, 1)), engine)
     if k not in counters:
         raise ValueError("engine %r has no homological degree %d" % (engine, k))
     return counters[k]
@@ -325,10 +315,10 @@ def tor_dimensions(grid, k, field=None, engine="direct", window=None):
 
 def generator_count_oracle(grid, field=None, d=None):
     """Number of minimal generators of I_X in bidegree d, which is
-    dim Tor_1(S/I_X) in degree d (reduced Koszul engine, window reaching d)."""
+    dim Tor_1(S/I_X) in degree d (reduced Koszul engine; 0 outside (nr, nc))."""
     if d[0] < 0 or d[1] < 0:
         raise ValueError("bidegree must be componentwise nonnegative")
-    return tor_dimensions(grid, 1, field, engine="reduced", window=d)[tuple(d)]
+    return tor_dimensions(grid, 1, field, engine="reduced")[tuple(d)]
 
 
 def verify_separator(sep, grid_Z, removed, field=None):

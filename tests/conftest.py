@@ -74,7 +74,7 @@ def build_acm_corpus(n, rng):
     for _ in range(n):
         g = random_staircase(rng, max_rows=7, max_cols=7)
         m_acm = hilbert_acm(g)
-        m_orc = hilbert_oracle(g, GFP, window=m_acm.window)
+        m_orc = hilbert_oracle(g, GFP)
         out.append({
             "grid": g,
             "m_acm": m_acm,

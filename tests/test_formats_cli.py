@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from biproj import formats
+from biproj import formats, oracle
 from biproj.cli import main
 from biproj.errors import InvalidGrid
-from biproj.grid import staircase
+from biproj.grid import MAX_GRID_CELLS, staircase
 from biproj.resolution import BettiTable, acm_resolution
 
 
@@ -135,6 +135,27 @@ def test_cli_hilbert_window(tmp_path, capsys, fixtures_dir):
     assert code == 0
     rows = [l.split()[1:] for l in out.strip().splitlines()[1:]]
     assert rows == [["1"] * 4] * 4
+
+
+def test_cli_oracle_window_does_not_widen_value_spaces(capsys, fixtures_dir, monkeypatch):
+    # --window only clamps what is printed; the oracle builds the value
+    # spaces on its own window (nr+1, nc+1), whose matrix is stable
+    built = []
+
+    class Recording(oracle._Spaces):
+        def __init__(self, grid, field, window):
+            built.append(window)
+            super().__init__(grid, field, window)
+
+    path = fixtures_dir / "e3_Z.json"
+    base = oracle.hilbert_oracle(formats.load_configuration(path))
+    monkeypatch.setattr(oracle, "_Spaces", Recording)
+    code, out, _ = run_cli(capsys, "hilbert", str(path), "--oracle",
+                           "--window", "40", "40", "--format", "json")
+    assert code == 0 and built == [(3, 5)] == [base.window]
+    wi, wj = base.window
+    clamped = base.entries[np.minimum(np.arange(41), wi)][:, np.minimum(np.arange(41), wj)]
+    assert json.loads(out)["entries"] == clamped.tolist()
 
 
 def test_cli_hilbert_non_acm_needs_oracle(tmp_path, capsys):
@@ -278,6 +299,21 @@ def test_cli_negative_counts_are_usage_errors(capsys, fixtures_dir, argv):
     assert obj["error"] == "UsageError"
     problem = "negative" if value.startswith("-") else "below 1"
     assert obj["message"].startswith("argument %s: %s is %s" % (option, value, problem))
+
+
+@pytest.mark.parametrize("argv", [
+    ("hilbert", "e3_X.json", "--window", "3000", "3000"),
+    ("delta", "e3_X.json", "--oracle", "--window", "0", "1048576"),
+])
+def test_cli_window_past_grid_cap_is_usage_error(capsys, fixtures_dir, argv):
+    # (I+1)(J+1) cells may not exceed grid.MAX_GRID_CELLS = 2^20
+    argv = [str(fixtures_dir / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "UsageError"
+    assert obj["message"].startswith("argument --window: %s %s spans" % tuple(argv[-2:]))
+    assert obj["message"].endswith("expected at most %d" % MAX_GRID_CELLS)
 
 
 def test_cli_table_equals_json(capsys, fixtures_dir):

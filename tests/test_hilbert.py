@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from biproj.errors import NonPositiveEntry, NotACM
+from biproj.errors import InvalidMatrix, NonPositiveEntry, NotACM
 from biproj.grid import PointGrid, corners_and_vertices, staircase
 from biproj.hilbert import (
     DeltaMatrix,
@@ -39,7 +39,7 @@ def test_hilbert_acm_requires_acm():
 
 
 def test_hilbert_matrix_rejects_non_monotone():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvalidMatrix, match="not monotone"):
         HilbertMatrix(np.array([[1, 2, 2], [1, 1, 1], [1, 1, 1]]), degree=1)
 
 

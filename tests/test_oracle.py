@@ -38,7 +38,7 @@ def test_hilbert_oracle_matches_combinatorial(field, two_row, big_staircase):
 
     for g in (two_row, big_staircase, staircase((3, 3, 3))):
         ma = hilbert_acm(g)
-        mo = hilbert_oracle(g, field, window=ma.window)
+        mo = hilbert_oracle(g, field)
         wi, wj = ma.window
         assert (mo.entries[: wi + 1, : wj + 1] == ma.entries[: wi + 1, : wj + 1]).all()
 
@@ -118,9 +118,10 @@ def test_betti_oracle_rejects_unknown_engine(two_row, monkeypatch):
 
 
 def test_oracle_checks_survive_python_O():
-    # a rank that is always 0 breaks Tor_0 and the Hilbert function, and a
-    # mapping-cone report that always fails breaks a removal step; both must
-    # be reported even with asserts compiled away
+    # a rank that is always 0 breaks Tor_0 and the Hilbert function, a
+    # mapping-cone report that always fails breaks a removal step, and a
+    # non-monotone matrix is no Hilbert matrix; each must be reported even
+    # with asserts compiled away
     code = "\n".join([
         "import sys",
         "from biproj import OracleInconsistency, PrimeField, betti_oracle, staircase",
@@ -136,11 +137,16 @@ def test_oracle_checks_survive_python_O():
         "    remove_points(staircase((3, 2, 1)), [(0, 0)])",
         "except ResolutionInconsistency:",
         "    print(sys.flags.optimize, 'raised')",
+        "from biproj import HilbertMatrix, InvalidMatrix",
+        "try:",
+        "    HilbertMatrix([[1, 2, 2], [1, 1, 1], [1, 1, 1]], degree=1)",
+        "except InvalidMatrix:",
+        "    print(sys.flags.optimize, 'raised')",
     ])
     env = dict(os.environ, PYTHONPATH=str(Path(biproj.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.stdout == "1 raised\n1 raised\n", proc.stderr
+    assert proc.stdout == "1 raised\n1 raised\n1 raised\n", proc.stderr
 
 
 def _chain_schemes():
@@ -164,6 +170,27 @@ def _chain_schemes():
             nr, nc, [(int(rp[i]), int(cp[j])) for i, j in g.points()],
             row_params=params(nr), col_params=params(nc))]
     return out
+
+
+@pytest.mark.parametrize("field", [QQ, GFP], ids=lambda f: f.name)
+def test_proven_window_matches_wider_window(field):
+    # every Tor_k lies in (nr, nc): the one-pass window of betti_oracle and
+    # tor_dimensions loses nothing that margin 3, i.e. (nr+2, nc+2), sees.
+    # The last scheme has an empty row and an empty column.  The direct
+    # engine over QQ, the slowest pair, runs on the schemes of at most 8
+    # points.
+    empty_lines = PointGrid.from_points(
+        4, 4, [(0, 0), (0, 1), (0, 3), (1, 1), (1, 3), (3, 0), (3, 3)],
+        row_params=(Fraction(-1, 3), 2, 5, 0), col_params=(1, 0, 9, Fraction(7, 2)))
+    for n, g in enumerate(_chain_schemes() + [empty_lines]):
+        for engine in ("reduced", "direct"):
+            if engine == "direct" and field is QQ and g.npoints > 8:
+                continue
+            wide = oracle._betti_counters(_Spaces(g, field, _base_window(g, 3)), engine)
+            assert betti_oracle(g, field, engine).counters() == (wide[1], wide[2], wide[3])
+            assert not wide.get(4)
+            k = n % len(wide)  # every k, spread over the schemes
+            assert tor_dimensions(g, k, field, engine) == wide[k]
 
 
 def _assert_same_echelon(ech, ref):

@@ -58,7 +58,7 @@ def test_acm_resolution_matches_oracle(lengths):
 def test_hilbert_oracle_matches_acm(lengths):
     g = staircase(lengths)
     ma = hilbert_acm(g)
-    mo = hilbert_oracle(g, GFP, window=ma.window)
+    mo = hilbert_oracle(g, GFP)
     wi, wj = ma.window
     assert (mo.entries[: wi + 1, : wj + 1] == ma.entries[: wi + 1, : wj + 1]).all()
 
