@@ -300,8 +300,7 @@ def _fuzz_one(grid, rng, hmax, field):
         return "acm resolution differs from oracle on %r" % (grid.row_counts(),)
     mo = hilbert_oracle(grid, field)
     ma = hilbert_acm(grid)
-    wi, wj = min(mo.window[0], ma.window[0]), min(mo.window[1], ma.window[1])
-    if not (mo.entries[: wi + 1, : wj + 1] == ma.entries[: wi + 1, : wj + 1]).all():
+    if mo.window != ma.window or not (mo.entries == ma.entries).all():
         return "hilbert mismatch on %r" % (grid.row_counts(),)
     pts = random_plan(grid, rng, max_points=hmax)
     if not pts:
@@ -341,7 +340,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="table")
     common.add_argument("--field", help="rationals | prime[:p] (or BIPROJ_FIELD)")
-    common.add_argument("--seed", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, config=True):
@@ -368,6 +366,7 @@ def build_parser():
     p.add_argument("--verify", action="store_true")
     p.add_argument("--separators", action="store_true")
     p = add("fuzz", cmd_fuzz, config=False)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--cases", type=_count, default=25)
     p.add_argument("--max-rows", type=partial(_count, minimum=1), default=5)
     p.add_argument("--max-cols", type=partial(_count, minimum=1), default=5)

@@ -21,11 +21,6 @@ from .errors import InvalidGrid, NotACM, PointNotInScheme
 MAX_GRID_CELLS = 2**20
 
 
-def dominates(d1, d2):
-    """(i1,j1) >= (i2,j2) componentwise."""
-    return d1[0] >= d2[0] and d1[1] >= d2[1]
-
-
 def strictly_below(d1, d2):
     """(i1,j1) < (i2,j2) strictly in both components."""
     return d1[0] < d2[0] and d1[1] < d2[1]

@@ -11,9 +11,12 @@ can be computed either from the full four-variable complex on the V's
 V_(u,v)/V_(u-1,v) ("reduced" engine, the default — much smaller blocks),
 whose bases are the rows with the pivots V_(u,v) adds to V_(u-1,v) in the
 chain of echelon bases that _Spaces grows along u.
-Windows depend on the grid alone: Betti numbers on (nr, nc), which holds
-them all (proof in betti_oracle), Hilbert matrices and drop sets on
-(nr+1, nc+1), the window of hilbert_acm.
+Everything depends on the grid alone.  _Spaces eliminates the grid's own
+index range u < nr, v < nc once and reads every wider cell through the
+clamp V_(u,v) = V_(min(u,nr-1), min(v,nc-1)) (proof in betti_oracle).
+Betti numbers come from the bidegrees up to (nr, nc), which hold them all;
+Hilbert matrices and drop sets are reported on (nr+1, nc+1), the window of
+hilbert_acm.
 """
 
 from collections import Counter
@@ -37,35 +40,44 @@ def _powers(field, vals, kmax):
 
 
 class _Spaces:
-    """Echelon bases of every value space V_(u,v) on a window.  ech[(u,v)] is
-    ech[(u-1,v)] extended by the rows t^u u^b, b <= v, which is the rref of
-    all its monomial rows (a reduced echelon form is unique)."""
+    """Echelon bases of the value spaces V_(u,v) on the grid's index range
+    u < nr, v < nc.  ech[(u,v)] is ech[(u-1,v)] extended by the rows
+    t^u u^b, b <= v, which is the rref of all its monomial rows (a reduced
+    echelon form is unique).  Every other cell is read through at()."""
 
-    def __init__(self, grid, field, window):
+    def __init__(self, grid, field):
         require_valid(grid, allow_empty_lines=True)
         self.field = field
-        self.window = window
+        self.shape = nr, nc = grid.shape
+        self.window = (nr + 1, nc + 1)
         self.points = grid.points()
         ts = field.convert_params(grid.row_params)
         us = field.convert_params(grid.col_params)
         self.tvals = field.vector([ts[i] for (i, _) in self.points])
         self.uvals = field.vector([us[j] for (_, j) in self.points])
-        wi, wj = window
-        tpow = _powers(field, self.tvals, wi)
-        upow = _powers(field, self.uvals, wj)
+        self.empty = Echelon(field.zeros(0, len(self.points)), ())
+        tpow = _powers(field, self.tvals, nr - 1)
+        upow = _powers(field, self.uvals, nc - 1)
         self.ech = {}
-        for u in range(wi + 1):
+        for u in range(nr):
             new = field.scale_columns(upow, tpow[u])  # row b holds t^u u^b
-            for v in range(wj + 1):
+            for v in range(nc):
                 self.ech[(u, v)] = (field.extend(self.ech[(u - 1, v)], new[: v + 1])
                                     if u else field.rref(new[: v + 1]))
 
-    def dim(self, u, v):
+    def at(self, u, v):
+        """Echelon basis of V_(u,v): empty below 0, clamped into the grid's
+        index range above it."""
         if u < 0 or v < 0:
-            return 0
-        return len(self.ech[(u, v)].pivots)
+            return self.empty
+        nr, nc = self.shape
+        return self.ech[(min(u, nr - 1), min(v, nc - 1))]
+
+    def dim(self, u, v):
+        return len(self.at(u, v).pivots)
 
     def hilbert(self):
+        """M on the window (nr+1, nc+1) of hilbert_acm."""
         wi, wj = self.window
         m = np.array(
             [[self.dim(i, j) for j in range(wj + 1)] for i in range(wi + 1)],
@@ -74,16 +86,10 @@ class _Spaces:
         return HilbertMatrix(m, degree=len(self.points))
 
 
-def _base_window(grid, margin=2):
-    """The last grid index plus `margin`: margin 1 is (nr, nc)."""
-    nr, nc = grid.shape
-    return (nr - 1 + margin, nc - 1 + margin)
-
-
 def hilbert_oracle(grid, field=None):
     """M(i,j) = rank of the evaluation matrix, on the window (nr+1, nc+1)."""
     field = field or default_field(grid.npoints)
-    return _Spaces(grid, field, _base_window(grid)).hilbert()
+    return _Spaces(grid, field).hilbert()
 
 
 def _upset_root(cells, window):
@@ -127,19 +133,16 @@ def drop_sets(grid, field=None):
     P is a pivot column whose basis row is e_P itself.
     """
     field = field or default_field(grid.npoints)
-    spaces = _Spaces(grid, field, _base_window(grid))
+    spaces = _Spaces(grid, field)
     drops = {pos: set() for pos in spaces.points}
-    for (u, v), ech in spaces.ech.items():
-        if not ech.pivots:
-            continue
-        unit = np.nonzero((ech.rows != 0).sum(axis=1) == 1)[0]
-        for l in unit:
-            drops[spaces.points[ech.pivots[int(l)]]].add((u, v))
+    wi, wj = spaces.window
+    for u in range(wi + 1):
+        for v in range(wj + 1):
+            ech = spaces.at(u, v)
+            unit = np.nonzero((ech.rows != 0).sum(axis=1) == 1)[0]
+            for l in unit:
+                drops[spaces.points[ech.pivots[int(l)]]].add((u, v))
     return drops
-
-
-def _empty_ech(field, n):
-    return Echelon(field.zeros(0, n), ())
 
 
 class _KoszulModule:
@@ -172,15 +175,11 @@ class _KoszulModule:
         key = (u, v)
         if key in self._comp:
             return self._comp[key]
-        field = self.field
-        n = len(self.spaces.points)
-        if u < 0 or v < 0:
-            out = (_empty_ech(field, n), _empty_ech(field, n))
-        elif not self.reduced:
-            out = (_empty_ech(field, n), self.spaces.ech[(u, v)])
+        ech = self.spaces.at(u, v)
+        if not self.reduced:
+            out = (self.spaces.empty, ech)
         else:
-            sub = self.spaces.ech[(u - 1, v)] if u >= 1 else _empty_ech(field, n)
-            ech = self.spaces.ech[(u, v)]
+            sub = self.spaces.at(u - 1, v)
             old = set(sub.pivots)
             keep = [l for l, c in enumerate(ech.pivots) if c not in old]
             if len(keep) != len(ech.pivots) - len(old):
@@ -264,13 +263,13 @@ def _check_engine(engine):
 
 
 def _betti_counters(spaces, engine):
-    """k -> Counter of dim Tor_k by bidegree over the window, k = 0..#vars."""
+    """k -> Counter of dim Tor_k by bidegree up to (nr, nc), k = 0..#vars."""
     module = _KoszulModule(spaces, reduced=(engine == "reduced"))
     nvars = len(module.vars)
     counters = {k: Counter() for k in range(nvars + 1)}
-    wi, wj = spaces.window
-    for i in range(wi + 1):
-        for j in range(wj + 1):
+    nr, nc = spaces.shape
+    for i in range(nr + 1):
+        for j in range(nc + 1):
             h = _homology_at(module, i, j)
             for k in range(nvars + 1):
                 if h[k]:
@@ -287,11 +286,12 @@ def betti_oracle(grid, field=None, engine="reduced"):
     u >= nr-1 and N'_(u,v) = V_(u,v)/V_(u-1,v) is 0 for u >= nr.  The
     Koszul complex of N' on x1, y0, y1 uses x1 at most once, so in degree
     (i,j) its terms lie in N'_(i,.) and N'_(i-1,.), and every Tor_k
-    vanishes for i > nr.  Reducing by y0 gives j > nc the same way.
+    vanishes for i > nr.  Reducing by y0 gives j > nc the same way, and
+    V_(u,v) = V_(u,nc-1) for v >= nc-1: the clamp _Spaces.at reads through.
     """
     _check_engine(engine)
     field = field or default_field(grid.npoints)
-    spaces = _Spaces(grid, field, _base_window(grid, 1))
+    spaces = _Spaces(grid, field)
     counters = _betti_counters(spaces, engine)
     table = BettiTable.make(counters[1], counters[2], counters[3])
     defects = table.hilbert_defects(spaces.hilbert())
@@ -307,7 +307,7 @@ def tor_dimensions(grid, k, field=None, engine="direct"):
     the window (nr, nc) of betti_oracle."""
     _check_engine(engine)
     field = field or default_field(grid.npoints)
-    counters = _betti_counters(_Spaces(grid, field, _base_window(grid, 1)), engine)
+    counters = _betti_counters(_Spaces(grid, field), engine)
     if k not in counters:
         raise ValueError("engine %r has no homological degree %d" % (engine, k))
     return counters[k]

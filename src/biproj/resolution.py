@@ -178,10 +178,6 @@ class RemovalPlan:
     degrees: tuple      # (q_l, p_l) per point, ascending lexicographically
     multiplicity: tuple # ((i,j), r_ij) pairs
 
-    @property
-    def r_map(self):
-        return dict(self.multiplicity)
-
 
 def removal_plan(grid, points):
     """Validates and normalizes a removal plan against its grid.
@@ -238,10 +234,7 @@ def remove_points(grid, plan):
     table built so far, and constructs the step's split separator against
     the current intermediate scheme.
     """
-    if not isinstance(plan, RemovalPlan):
-        plan = removal_plan(grid, plan)
-    else:
-        plan = removal_plan(grid, plan.points)
+    plan = removal_plan(grid, plan.points if isinstance(plan, RemovalPlan) else plan)
     table = acm_resolution(grid)
     b0, b1, b2 = table.counters()
     M = hilbert_acm(grid)

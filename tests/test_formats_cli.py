@@ -138,22 +138,26 @@ def test_cli_hilbert_window(tmp_path, capsys, fixtures_dir):
 
 
 def test_cli_oracle_window_does_not_widen_value_spaces(capsys, fixtures_dir, monkeypatch):
-    # --window only clamps what is printed; the oracle builds the value
-    # spaces on its own window (nr+1, nc+1), whose matrix is stable
+    # --window only clamps what is printed; the oracle eliminates the value
+    # spaces on the grid's own index range and reports on (nr+1, nc+1),
+    # whose matrix is stable
     built = []
 
     class Recording(oracle._Spaces):
-        def __init__(self, grid, field, window):
-            built.append(window)
-            super().__init__(grid, field, window)
+        def __init__(self, grid, field):
+            super().__init__(grid, field)
+            built.append(set(self.ech))
 
     path = fixtures_dir / "e3_Z.json"
-    base = oracle.hilbert_oracle(formats.load_configuration(path))
+    grid = formats.load_configuration(path)
+    base = oracle.hilbert_oracle(grid)
     monkeypatch.setattr(oracle, "_Spaces", Recording)
     code, out, _ = run_cli(capsys, "hilbert", str(path), "--oracle",
                            "--window", "40", "40", "--format", "json")
-    assert code == 0 and built == [(3, 5)] == [base.window]
+    nr, nc = grid.shape
+    assert code == 0 and built == [{(u, v) for u in range(nr) for v in range(nc)}]
     wi, wj = base.window
+    assert (wi, wj) == (nr + 1, nc + 1)
     clamped = base.entries[np.minimum(np.arange(41), wi)][:, np.minimum(np.arange(41), wj)]
     assert json.loads(out)["entries"] == clamped.tolist()
 
@@ -332,7 +336,7 @@ def test_cli_single_point_resolution(capsys, fixtures_dir):
     assert "beta1: R(-1,-1)" in out
 
 
-def test_cli_bad_inputs(tmp_path, capsys):
+def test_cli_bad_inputs(tmp_path, capsys, fixtures_dir):
     code, _, err = run_cli(capsys, "hilbert", str(tmp_path / "missing.json"))
     assert code == 1
     path = tmp_path / "broken.json"
@@ -341,6 +345,9 @@ def test_cli_bad_inputs(tmp_path, capsys):
     assert code == 1
     code, _, _ = run_cli(capsys, "hilbert")  # missing argument: usage error
     assert code == 1
+    # --seed belongs to fuzz alone
+    code, out, err = run_cli(capsys, "validate", str(fixtures_dir / "e1_X.json"), "--seed", "3")
+    assert code == 1 and out == "" and json.loads(err)["error"] == "UsageError"
     code, _, _ = run_cli(capsys, "resolution", str(path), "--method", "nonsense")
     assert code == 1
 

@@ -14,10 +14,9 @@ import biproj
 from biproj import oracle
 from biproj.cli import random_plan, random_staircase
 from biproj.errors import BadField
-from biproj.fields import GFP, QQ, Echelon, PrimeField
+from biproj.fields import GFP, QQ, PrimeField
 from biproj.grid import PointGrid, staircase
 from biproj.oracle import (
-    _base_window,
     _KoszulModule,
     _Spaces,
     _upset_root,
@@ -174,11 +173,11 @@ def _chain_schemes():
 
 @pytest.mark.parametrize("field", [QQ, GFP], ids=lambda f: f.name)
 def test_proven_window_matches_wider_window(field):
-    # every Tor_k lies in (nr, nc): the one-pass window of betti_oracle and
-    # tor_dimensions loses nothing that margin 3, i.e. (nr+2, nc+2), sees.
-    # The last scheme has an empty row and an empty column.  The direct
-    # engine over QQ, the slowest pair, runs on the schemes of at most 8
-    # points.
+    # every Tor_k lies in (nr, nc): Koszul homology of the clamped value
+    # spaces on every bidegree up to (nr+2, nc+2) is zero outside it, and
+    # the rest is what betti_oracle and tor_dimensions report.  The last
+    # scheme has an empty row and an empty column.  The direct engine over
+    # QQ, the slowest pair, runs on the schemes of at most 8 points.
     empty_lines = PointGrid.from_points(
         4, 4, [(0, 0), (0, 1), (0, 3), (1, 1), (1, 3), (3, 0), (3, 3)],
         row_params=(Fraction(-1, 3), 2, 5, 0), col_params=(1, 0, 9, Fraction(7, 2)))
@@ -186,7 +185,15 @@ def test_proven_window_matches_wider_window(field):
         for engine in ("reduced", "direct"):
             if engine == "direct" and field is QQ and g.npoints > 8:
                 continue
-            wide = oracle._betti_counters(_Spaces(g, field, _base_window(g, 3)), engine)
+            module = _KoszulModule(_Spaces(g, field), reduced=(engine == "reduced"))
+            wide = {k: Counter() for k in range(len(module.vars) + 1)}
+            nr, nc = g.shape
+            for i in range(nr + 3):
+                for j in range(nc + 3):
+                    for k, d in enumerate(oracle._homology_at(module, i, j)):
+                        if d:
+                            assert i <= nr and j <= nc, (k, i, j)
+                            wide[k][(i, j)] = d
             assert betti_oracle(g, field, engine).counters() == (wide[1], wide[2], wide[3])
             assert not wide.get(4)
             k = n % len(wide)  # every k, spread over the schemes
@@ -201,19 +208,23 @@ def _assert_same_echelon(ech, ref):
 
 @pytest.mark.parametrize("field", [QQ, GFP, PrimeField(101)], ids=lambda f: f.name)
 def test_value_space_chain_matches_full_elimination(field):
-    # references: each V_(u,v) eliminated from all its monomial rows, valued
-    # with Fractions; each quotient basis rebuilt by reduce_rows + rref
+    # references: each V_(u,v) up to (nr+1, nc+1) eliminated from all its
+    # monomial rows, valued with Fractions, so the clamp past the grid's
+    # index range meets an unclamped elimination; each quotient basis
+    # rebuilt by reduce_rows + rref
     for g in _chain_schemes():
-        spaces = _Spaces(g, field, _base_window(g))
+        spaces = _Spaces(g, field)
         module = _KoszulModule(spaces, reduced=True)
-        pts, n = g.points(), g.npoints
-        for (u, v), ech in spaces.ech.items():
-            rows = [[Fraction(g.row_params[i]) ** a * Fraction(g.col_params[j]) ** b
-                     for (i, j) in pts] for a in range(u + 1) for b in range(v + 1)]
-            _assert_same_echelon(ech, field.rref(field.array(rows)))
-            sub = spaces.ech[(u - 1, v)] if u else Echelon(field.zeros(0, n), ())
-            _assert_same_echelon(module._component(u, v)[1],
-                                 field.rref(field.reduce_rows(ech.rows, sub)))
+        pts, (nr, nc) = g.points(), g.shape
+        assert set(spaces.ech) == {(u, v) for u in range(nr) for v in range(nc)}
+        for u in range(nr + 2):
+            for v in range(nc + 2):
+                rows = [[Fraction(g.row_params[i]) ** a * Fraction(g.col_params[j]) ** b
+                         for (i, j) in pts] for a in range(u + 1) for b in range(v + 1)]
+                ech = spaces.at(u, v)
+                _assert_same_echelon(ech, field.rref(field.array(rows)))
+                _assert_same_echelon(module._component(u, v)[1],
+                                     field.rref(field.reduce_rows(ech.rows, spaces.at(u - 1, v))))
 
 
 def test_tor_dimensions(two_row):
