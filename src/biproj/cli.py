@@ -312,9 +312,9 @@ def _fuzz_one(grid, rng, hmax, field):
         return "removal mismatch on %r minus %r" % (grid.row_counts(), pts)
     cur = grid
     for sep in res.separators:
-        if not verify_separator(sep, cur.without(sep.point), sep.point, field):
-            return "separator %r fails verification" % (sep,)
         cur = cur.without(sep.point)
+        if not verify_separator(sep, cur, sep.point, field):
+            return "separator %r fails verification" % (sep,)
     return None
 
 

@@ -139,16 +139,36 @@ def betti_to_json(table, source, certified_conditions=None):
 
 
 def betti_from_json(obj):
+    """BettiFile dict -> (BettiTable, source).
+
+    Each level is an array of {"degree": [p, q], "multiplicity": m} with
+    integer p, q and an integer m >= 1, each degree at most once per level;
+    anything else is a ValueError.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("Betti file must be a JSON object")
     levels = []
     for level in _LEVELS:
-        entries = []
-        for item in obj.get(level, []):
-            p, q = item["degree"]
-            m = item["multiplicity"]
+        items = obj.get(level, [])
+        if not isinstance(items, (list, tuple)):
+            raise ValueError("%s must be an array of entries" % level)
+        entries = {}
+        for item in items:
+            if not isinstance(item, dict):
+                raise ValueError("%s entry %r is not an object" % (level, item))
+            degree, m = item.get("degree"), item.get("multiplicity")
+            if not (isinstance(degree, (list, tuple)) and len(degree) == 2
+                    and all(_is_int(x) for x in degree)):
+                raise ValueError("%s degree %r is not a [p, q] integer pair" % (level, degree))
+            if not _is_int(m):
+                raise ValueError("%s multiplicity %r is not an integer" % (level, m))
             if m < 1:
                 raise ValueError("multiplicity %r < 1 at %s" % (m, level))
-            entries.append(((int(p), int(q)), int(m)))
-        levels.append(dict(entries))
+            degree = tuple(degree)
+            if degree in entries:
+                raise ValueError("%s repeats degree %s" % (level, list(degree)))
+            entries[degree] = m
+        levels.append(entries)
     return BettiTable.make(*levels), obj.get("source")
 
 

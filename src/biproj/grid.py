@@ -21,6 +21,22 @@ from .errors import InvalidGrid, NotACM, PointNotInScheme
 MAX_GRID_CELLS = 2**20
 
 
+def derived(grid, key, build):
+    """build(grid), computed once per PointGrid instance.
+
+    A PointGrid is frozen and holds only tuples, so everything derived from
+    it stays valid for the instance's life.  The value sits in the instance
+    __dict__ beside the fields, the write functools.cached_property makes on
+    a frozen dataclass, so ==, hash and repr never see it.  A build that
+    raises stores nothing: the same error is raised again on the next call.
+    Callers copy what they hand out when it is mutable.
+    """
+    memo = grid.__dict__.setdefault("_derived", {})
+    if key not in memo:
+        memo[key] = build(grid)
+    return memo[key]
+
+
 def strictly_below(d1, d2):
     """(i1,j1) < (i2,j2) strictly in both components."""
     return d1[0] < d2[0] and d1[1] < d2[1]
@@ -165,17 +181,23 @@ def _violations(grid, allow_empty_lines=False):
         yield "duplicate line parameters among columns"
 
 
+def _violation_tuple(grid, allow_empty_lines):
+    allow = bool(allow_empty_lines)
+    return derived(grid, ("violations", allow),
+                   lambda g: tuple(_violations(g, allow)))
+
+
 def validate(grid, allow_empty_lines=False):
     """Diagnostic check of all PointGrid invariants.
 
     Multiplicities are structurally 1 (the incidence matrix is boolean),
     so reducedness needs no check.
     """
-    return ValidationReport(tuple(_violations(grid, allow_empty_lines)))
+    return ValidationReport(_violation_tuple(grid, allow_empty_lines))
 
 
 def require_valid(grid, allow_empty_lines=False):
-    bad = tuple(_violations(grid, allow_empty_lines))
+    bad = _violation_tuple(grid, allow_empty_lines)
     if bad:
         raise InvalidGrid("; ".join(bad))
 
@@ -203,6 +225,10 @@ class NormalizedGrid:
 
 def normalize(grid):
     """Sorts rows and columns by decreasing point count (stable)."""
+    return derived(grid, "normalize", _normalize)
+
+
+def _normalize(grid):
     require_valid(grid)
     nr, nc = grid.shape
     rcount = grid.row_counts()
@@ -263,10 +289,15 @@ def corners_and_vertices(grid):
     P_{i-1,j} and P_{i,j-1} absent, P_{i-1,j-1} present.  Both are
     computed on the normalized staircase; the bidegrees are intrinsic.
     """
+    corners, vertices = derived(grid, "corners_and_vertices", _corners_and_vertices)
+    return list(corners), list(vertices)
+
+
+def _corners_and_vertices(grid):
     norm = normalize(grid).grid
     if not is_staircase(norm):
         raise NotACM("configuration is not ACM")
-    return corner_vertex_cells(_padded_incidence(norm))
+    return tuple(tuple(cells) for cells in corner_vertex_cells(_padded_incidence(norm)))
 
 
 class PointKind(Enum):
@@ -294,10 +325,12 @@ def classify_points(grid):
     coordinates (in normalized position); removal of a boundary point
     keeps the scheme ACM, removal of an interior point breaks it.
     """
+    return list(derived(grid, "classify_points", _classify_points))
+
+
+def _classify_points(grid):
     norm = normalize(grid)
-    if not is_staircase(norm.grid):
-        raise NotACM("configuration is not ACM")
-    corners, _ = corner_vertex_cells(_padded_incidence(norm.grid))
+    corners, _ = corners_and_vertices(grid)
     rcount = grid.row_counts()
     ccount = grid.col_counts()
     out = {}
@@ -313,4 +346,4 @@ def classify_points(grid):
                 row_count=rcount[oi],
                 col_count=ccount[oj],
             )
-    return [out[pos] for pos in sorted(out)]
+    return tuple(out[pos] for pos in sorted(out))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMatrix, NonPositiveEntry, NotACM
-from .grid import ValidationReport, corner_vertex_cells, is_staircase, normalize
+from .grid import ValidationReport, corner_vertex_cells, derived, is_staircase, normalize
 
 
 def _freeze(entries):
@@ -101,6 +101,10 @@ def delta(M):
 
 def hilbert_acm(grid):
     """M_X of an ACM configuration: Delta M_X is the staircase indicator."""
+    return derived(grid, "hilbert_acm", _hilbert_acm)
+
+
+def _hilbert_acm(grid):
     norm = normalize(grid).grid
     if not is_staircase(norm):
         raise NotACM("configuration is not ACM")

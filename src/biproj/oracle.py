@@ -156,15 +156,15 @@ class _KoszulModule:
         self.spaces = spaces
         self.field = spaces.field
         self.reduced = reduced
-        n = len(spaces.points)
-        ones = self.field.ones(n)
+        # x0 and y0 evaluate to 1 at every point: their scale is None, and
+        # multiplying by them keeps the values as they are
         if reduced:
-            self.vars = (((1, 0), spaces.tvals), ((0, 1), ones), ((0, 1), spaces.uvals))
+            self.vars = (((1, 0), spaces.tvals), ((0, 1), None), ((0, 1), spaces.uvals))
         else:
             self.vars = (
-                ((1, 0), ones),
+                ((1, 0), None),
                 ((1, 0), spaces.tvals),
-                ((0, 1), ones),
+                ((0, 1), None),
                 ((0, 1), spaces.uvals),
             )
         self._comp = {}
@@ -201,7 +201,7 @@ class _KoszulModule:
         (du, dv), scale = self.vars[z]
         _, src = self._component(u, v)
         tsub, tbas = self._component(u + du, v + dv)
-        w = field.scale_columns(src.rows, scale)
+        w = src.rows if scale is None else field.scale_columns(src.rows, scale)
         if tsub.pivots:
             w = field.reduce_rows(w, tsub)
         coords = w[:, list(tbas.pivots)]

@@ -11,6 +11,7 @@ only way to notice the answer is wrong).
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     CollinearRemoval,
@@ -29,9 +30,19 @@ from .grid import (
 from .hilbert import delta_corners_vertices, hilbert_acm, puncture_hilbert
 
 
-def dim_bigraded(u, v):
-    """dim S_(u,v) = (u+1)(v+1) for u,v >= 0, else 0."""
-    return (u + 1) * (v + 1) if u >= 0 and v >= 0 else 0
+def _fold(p, w):
+    """(index, weight) pairs on 0..w whose double prefix sum agrees on 0..w
+    with that of a unit mass at p, which is max(0, i - p + 1) at i.
+
+    A mass past w adds nothing there.  A mass at p < 0 gives
+    i + 1 - p = (1 - p)(i + 1) + p * i: 1 - p masses at 0 plus p masses
+    at 1, so no cell lies outside 0..w however negative p is.
+    """
+    if p > w:
+        return ()
+    if p >= 0:
+        return ((p, 1),)
+    return ((0, 1 - p), (1, p)) if w >= 1 else ((0, 1 - p),)
 
 
 def _canon(entries):
@@ -76,18 +87,34 @@ class BettiTable:
         return r0 - r1 + r2
 
     def hilbert_defects(self, M):
-        """Cells where the Euler characteristic of the table misses M."""
+        """Cells where the Euler characteristic of the table misses M.
+
+        The characteristic at (i,j) is dim S_(i,j) minus the alternating
+        sum of mult * dim S_(i-p,j-q), with dim S_(u,v) = (u+1)(v+1) for
+        u,v >= 0 and 0 otherwise.  That is the double prefix sum, along
+        each axis, of the masses c = [(0,0)] - beta0 + beta1 - beta2, so
+        the window costs a few passes whatever the table's size.
+        """
         wi, wj = M.window
-        bad = []
-        for i in range(wi + 1):
-            for j in range(wj + 1):
-                val = dim_bigraded(i, j)
-                for level, sign in zip(self.levels, (-1, 1, -1)):
-                    for (p, q), mult in level:
-                        val += sign * mult * dim_bigraded(i - p, j - q)
-                if val != M.m(i, j):
-                    bad.append(((i, j), M.m(i, j), val))
-        return bad
+        c = [[0] * (wj + 1) for _ in range(wi + 1)]
+        masses = [((0, 0), 1)] + [
+            (d, sign * mult)
+            for level, sign in zip(self.levels, (-1, 1, -1))
+            for d, mult in level
+        ]
+        for (p, q), mult in masses:
+            for i, a in _fold(p, wi):
+                for j, b in _fold(q, wj):
+                    c[i][j] += mult * a * b
+        rows = [accumulate(accumulate(row)) for row in c]
+        cols = [list(accumulate(accumulate(col))) for col in zip(*rows)]
+        m = M.entries.tolist()
+        return [
+            ((i, j), m[i][j], val)
+            for i, row in enumerate(zip(*cols))
+            for j, val in enumerate(row)
+            if val != m[i][j]
+        ]
 
     def is_empty(self):
         return not (self.beta0 or self.beta1 or self.beta2)

@@ -112,6 +112,30 @@ def test_betti_json_roundtrip():
         formats.betti_from_json({"beta0": [{"degree": [1, 0], "multiplicity": 0}]})
 
 
+@pytest.mark.parametrize("obj, message", [
+    ({"beta0": [{"degree": [1.5, 2], "multiplicity": 1}]}, "integer pair"),
+    ({"beta0": [{"degree": [True, 2], "multiplicity": 1}]}, "integer pair"),
+    ({"beta0": [{"degree": ["3", 2], "multiplicity": 1}]}, "integer pair"),
+    ({"beta0": [{"degree": [1, 0], "multiplicity": True}]}, "not an integer"),
+    ({"beta0": [{"degree": [1, 0], "multiplicity": "3"}]}, "not an integer"),
+    ({"beta1": [{"degree": [1, 1], "multiplicity": 1},
+                {"degree": [1, 1], "multiplicity": 2}]}, "repeats degree"),
+    ({"beta0": [{"degree": [1, 0, 2], "multiplicity": 1}]}, "integer pair"),
+    ({"beta0": [{"degree": None, "multiplicity": 1}]}, "integer pair"),
+    ({"beta0": [{"multiplicity": 1}]}, "integer pair"),
+    ({"beta0": [{"degree": [1, 0]}]}, "not an integer"),
+    ({"beta0": [[1, 0]]}, "not an object"),
+    ({"beta2": 3}, "array of entries"),
+    ([], "JSON object"),
+], ids=["float-degree", "bool-degree", "string-degree", "bool-multiplicity",
+        "string-multiplicity", "repeated-degree", "degree-of-three", "null-degree",
+        "missing-degree", "missing-multiplicity", "entry-not-object", "level-not-array",
+        "file-not-object"])
+def test_betti_json_rejects_malformed_entries(obj, message):
+    with pytest.raises(ValueError, match=message):
+        formats.betti_from_json(obj)
+
+
 # ---------------------------------------------------------------- CLI
 
 

@@ -1,9 +1,11 @@
 """Grids of points: validation, staircase order, classification."""
 
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
+import biproj.grid
 from biproj import formats
 from biproj.errors import InvalidGrid, NotACM, PointNotInScheme
 from biproj.grid import (
@@ -18,6 +20,8 @@ from biproj.grid import (
     staircase,
     validate,
 )
+from biproj.hilbert import hilbert_acm
+from biproj.resolution import remove_points
 
 from conftest import BIG_CORNERS, BIG_VERTICES
 
@@ -156,3 +160,57 @@ def test_classify_respects_line_labels():
     assert classes[(1, 0)].kind is PointKind.INTERIOR
     assert classes[(0, 0)].kind is PointKind.BOUNDARY
     assert classes[(1, 0)].separating_degree == (1, 3)
+
+
+def test_grid_is_normalized_once_through_the_pipeline(monkeypatch):
+    calls = []
+    build = biproj.grid._normalize
+    monkeypatch.setattr(biproj.grid, "_normalize", lambda g: calls.append(g) or build(g))
+    # the staircase (5,5,3,2,1) with scrambled lines and rational parameters
+    rows, cols = (3, 0, 4, 1, 2), (2, 4, 0, 1, 3)
+    X = PointGrid.from_points(
+        5, 5, [(rows[i], cols[j]) for i, l in enumerate((5, 5, 3, 2, 1)) for j in range(l)],
+        row_params=[Fraction(k, 3) for k in range(5)], col_params=[Fraction(-k, 7) for k in range(5)])
+    assert validate(X).ok and is_acm(X)
+    interior = [pc.position for pc in classify_points(X) if pc.kind is PointKind.INTERIOR]
+    assert hilbert_acm(X) is hilbert_acm(X)
+    res = remove_points(X, [(rows[1], cols[2]), (rows[2], cols[1])])
+    assert set(res.plan.points) <= set(interior)
+    assert len(calls) == 1 and calls[0] is X
+
+
+def test_derived_lists_are_fresh_per_call():
+    g = staircase((4, 2, 2))
+    classes = classify_points(g)
+    corners, vertices = corners_and_vertices(g)
+    expected = (list(classes), list(corners), list(vertices))
+    classes.reverse()
+    classes.pop()
+    corners.append((9, 9))
+    vertices.clear()
+    assert (classify_points(g), *corners_and_vertices(g)) == expected
+
+
+def test_memo_is_invisible_to_eq_hash_repr():
+    a, b = staircase((3, 1)), staircase((3, 1))
+    classify_points(a)
+    hilbert_acm(a)
+    validate(a, allow_empty_lines=True)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("fn", [normalize, is_acm, classify_points, corners_and_vertices,
+                                hilbert_acm])
+def test_invalid_or_non_acm_grid_raises_on_every_call(fn):
+    empty_row = PointGrid.from_points(2, 2, [(0, 0), (0, 1)])
+    diagonal = PointGrid.from_points(2, 2, [(0, 0), (1, 1)])
+    cases = [(empty_row, InvalidGrid)]
+    if fn not in (normalize, is_acm):
+        cases.append((diagonal, NotACM))
+    for g, error in cases:
+        messages = []
+        for _ in range(3):
+            with pytest.raises(error) as info:
+                fn(g)
+            messages.append(str(info.value))
+        assert messages == [messages[0]] * 3

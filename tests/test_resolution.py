@@ -5,6 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from biproj import formats
+from biproj.cli import random_plan, random_staircase
 from biproj.errors import CollinearRemoval, NotACM, NotInterior, PointNotInScheme
 from biproj.grid import PointGrid, staircase
 from biproj.hilbert import DeltaMatrix, delta, hilbert_acm
@@ -43,6 +45,58 @@ def test_betti_table_hilbert_defects(two_row):
     assert good.hilbert_defects(M) == []
     bad = BettiTable.make({(1, 0): 1})
     assert bad.hilbert_defects(M)
+
+
+def _euler_reference(table, M):
+    """hilbert_defects by the per-cell formula: dim S_(i,j) minus the
+    alternating sum of mult * dim S_(i-p,j-q), cell by cell."""
+    def dim(u, v):
+        return (u + 1) * (v + 1) if u >= 0 and v >= 0 else 0
+
+    wi, wj = M.window
+    bad = []
+    for i in range(wi + 1):
+        for j in range(wj + 1):
+            val = dim(i, j)
+            for level, sign in zip(table.levels, (-1, 1, -1)):
+                for (p, q), mult in level:
+                    val += sign * mult * dim(i - p, j - q)
+            if val != M.m(i, j):
+                bad.append(((i, j), M.m(i, j), val))
+    return bad
+
+
+def test_hilbert_defects_match_per_cell_formula():
+    rng = np.random.default_rng(902)
+    wrong_with_defects = 0
+    for _ in range(60):
+        g = random_staircase(rng, max_rows=6, max_cols=6)
+        pts = random_plan(g, rng, max_points=3)
+        if pts:
+            res = remove_points(g, pts)
+            table, M = res.betti, res.hilbert
+        else:
+            table, M = acm_resolution(g), hilbert_acm(g)
+        assert table.hilbert_defects(M) == _euler_reference(table, M) == []
+        wi, wj = M.window
+        b0, b1, b2 = table.counters()
+        # summands past the window add nothing inside it
+        past = BettiTable.make(b0 + Counter({(wi + 1, 0): 2}), b1 + Counter({(0, wj + 3): 1}), b2)
+        assert past.hilbert_defects(M) == _euler_reference(past, M) == []
+        # wrong tables: extra summands anywhere from degree -3 to 3 past the window
+        levels = [Counter(b0), Counter(b1), Counter(b2)]
+        for _ in range(int(rng.integers(1, 4))):
+            d = (int(rng.integers(-3, wi + 4)), int(rng.integers(-3, wj + 4)))
+            levels[int(rng.integers(3))][d] += int(rng.integers(1, 4))
+        wrong = BettiTable.make(*levels)
+        defects = wrong.hilbert_defects(M)
+        assert defects == _euler_reference(wrong, M)
+        wrong_with_defects += bool(defects)
+    assert wrong_with_defects > 30
+    M = hilbert_acm(staircase((3, 2)))
+    negative = formats.parse_betti_text("beta0: R(1,0) (+) R(0,5)^2\nbeta1: R(4,-2)\nbeta2: R(0,-9)")
+    assert negative.counters()[0] == Counter({(-1, 0): 1, (0, -5): 2})
+    assert negative.hilbert_defects(M) == _euler_reference(negative, M) != []
 
 
 def test_acm_resolution_two_row(two_row):
