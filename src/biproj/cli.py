@@ -28,12 +28,7 @@ from .fields import QQ, default_field, field_by_name
 from .grid import MAX_GRID_CELLS, PointKind, classify_points, corners_and_vertices, is_acm, validate
 from .hilbert import delta, hilbert_acm
 from .oracle import betti_oracle, hilbert_oracle, verify_separator
-from .resolution import (
-    acm_resolution,
-    betti_diff,
-    betti_from_delta,
-    remove_points,
-)
+from .resolution import betti_diff, betti_from_delta, remove_points
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -194,13 +189,13 @@ def cmd_resolution(args):
     grid = _load(args)
     field = _resolve_field(args)
     pts = _parse_removals(args)
+    # the empty plan is the ACM case; with none, the oracle reads X, ACM or not
+    res = remove_points(grid, pts) if pts or args.method != "oracle" else None
+    grid_final = res.grid_z if res else grid
     certified = None
-    res = None
-    if pts:
-        res = remove_points(grid, pts)
-        grid_final = res.grid_z
-        if args.method == "combinatorial":
-            table, source = res.betti, "removal"
+    if args.method == "combinatorial":
+        table, source = res.betti, "removal" if pts else "acm"
+        if pts:
             certified = [
                 {
                     "point": list(point),
@@ -211,24 +206,15 @@ def cmd_resolution(args):
                 }
                 for point, rep in zip(res.plan.points, res.conditions)
             ]
-        elif args.method == "delta":
-            table, source = betti_from_delta(delta(res.hilbert)), "delta"
-        else:
-            table, source = betti_oracle(grid_final, field), "oracle"
+    elif args.method == "delta":
+        table, source = betti_from_delta(delta(res.hilbert)), "delta"
     else:
-        grid_final = grid
-        if args.method == "combinatorial":
-            table, source = acm_resolution(grid), "acm"
-        elif args.method == "delta":
-            M = hilbert_acm(grid) if is_acm(grid) else hilbert_oracle(grid, field)
-            table, source = betti_from_delta(delta(M)), "delta"
-        else:
-            table, source = betti_oracle(grid, field), "oracle"
+        table, source = betti_oracle(grid_final, field), "oracle"
 
     obj = formats.betti_to_json(table, source, certified)
     lines = [formats.render_betti(table)]
 
-    if args.separators and res is not None:
+    if args.separators and pts:
         obj["separators"] = [
             {"point": list(sep.point), "degree": list(sep.degree),
              "lines": ["%s_%d" % line for line in sep.lines]}
@@ -294,27 +280,24 @@ def random_plan(grid, rng, max_points=4):
 
 
 def _fuzz_one(grid, rng, hmax, field):
-    oracle_table = betti_oracle(grid, field)
-    acm_table = acm_resolution(grid)
-    if oracle_table.counters() != acm_table.counters():
-        return "acm resolution differs from oracle on %r" % (grid.row_counts(),)
-    mo = hilbert_oracle(grid, field)
-    ma = hilbert_acm(grid)
-    if mo.window != ma.window or not (mo.entries == ma.entries).all():
-        return "hilbert mismatch on %r" % (grid.row_counts(),)
-    pts = random_plan(grid, rng, max_points=hmax)
-    if not pts:
-        return None
-    res = remove_points(grid, pts)
-    from_delta = betti_from_delta(delta(res.hilbert))
-    from_oracle = betti_oracle(res.grid_z, field)
-    if not (res.betti.counters() == from_delta.counters() == from_oracle.counters()):
-        return "removal mismatch on %r minus %r" % (grid.row_counts(), pts)
-    cur = grid
-    for sep in res.separators:
-        cur = cur.without(sep.point)
-        if not verify_separator(sep, cur, sep.point, field):
-            return "separator %r fails verification" % (sep,)
+    """Checks X and X minus a random plan: the removal, Delta M and oracle
+    tables agree, M_Z is the oracle's, and every separator verifies."""
+    plan = random_plan(grid, rng, max_points=hmax)
+    for pts in ([], plan) if plan else ([],):
+        where = "%r minus %r" % (grid.row_counts(), pts)
+        res = remove_points(grid, pts)
+        from_delta = betti_from_delta(delta(res.hilbert))
+        from_oracle = betti_oracle(res.grid_z, field)
+        if not (res.betti.counters() == from_delta.counters() == from_oracle.counters()):
+            return "resolution mismatch on " + where
+        mo = hilbert_oracle(res.grid_z, field)
+        if mo.window != res.hilbert.window or not (mo.entries == res.hilbert.entries).all():
+            return "hilbert mismatch on " + where
+        cur = grid
+        for sep in res.separators:
+            cur = cur.without(sep.point)
+            if not verify_separator(sep, cur, sep.point, field):
+                return "separator %r fails verification" % (sep,)
     return None
 
 

@@ -68,8 +68,12 @@ def parse_configuration(obj):
     points = parse_points(obj["points"])
     kw = {}
     for key in ("row_params", "col_params"):
-        if obj.get(key) is not None:
-            kw[key] = [_parse_param(x) for x in obj[key]]
+        params = obj.get(key)
+        if params is None:
+            continue
+        if not isinstance(params, (list, tuple)):
+            raise InvalidGrid("%s must be an array of line parameters" % key)
+        kw[key] = [_parse_param(x) for x in params]
     return PointGrid.from_points(nrows, ncols, points, **kw)
 
 
@@ -193,7 +197,11 @@ _TERM_RE = re.compile(r"^R\((-?\d+),(-?\d+)\)(?:\^(\d+))?$")
 
 
 def parse_betti_text(text):
-    """Inverse of render_betti (on canonical output)."""
+    """Inverse of render_betti (on canonical output).
+
+    A level line that appears twice, or a degree repeated within a level,
+    is a ValueError; canonical output never has either.
+    """
     found = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -203,6 +211,8 @@ def parse_betti_text(text):
         name = name.strip()
         if name not in _LEVELS:
             continue  # renderings may carry extra report lines around the table
+        if name in found:
+            raise ValueError("level %s appears twice" % name)
         entries = {}
         rest = rest.strip()
         if rest != "0":
@@ -211,6 +221,8 @@ def parse_betti_text(text):
                 if not m:
                     raise ValueError("bad summand %r" % chunk.strip())
                 degree = (-int(m.group(1)), -int(m.group(2)))
-                entries[degree] = entries.get(degree, 0) + int(m.group(3) or 1)
+                if degree in entries:
+                    raise ValueError("%s repeats degree %s" % (name, list(degree)))
+                entries[degree] = int(m.group(3) or 1)
         found[name] = entries
     return BettiTable.make(*(found.get(level, {}) for level in _LEVELS))

@@ -252,6 +252,14 @@ def is_acm(grid):
     return is_staircase(normalize(grid).grid)
 
 
+def _staircase_form(grid):
+    """The normalized grid, which is a staircase; NotACM if it is not."""
+    norm = normalize(grid).grid
+    if not is_staircase(norm):
+        raise NotACM("configuration is not ACM")
+    return norm
+
+
 def corner_vertex_cells(c):
     """Corner and vertex positions of a 2-D integer array (sorted lex).
 
@@ -294,9 +302,7 @@ def corners_and_vertices(grid):
 
 
 def _corners_and_vertices(grid):
-    norm = normalize(grid).grid
-    if not is_staircase(norm):
-        raise NotACM("configuration is not ACM")
+    norm = _staircase_form(grid)
     return tuple(tuple(cells) for cells in corner_vertex_cells(_padded_incidence(norm)))
 
 

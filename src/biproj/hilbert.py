@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMatrix, NonPositiveEntry, NotACM
-from .grid import ValidationReport, corner_vertex_cells, derived, is_staircase, normalize
+from .errors import InvalidMatrix, NonPositiveEntry
+from .grid import ValidationReport, _staircase_form, corner_vertex_cells, derived
 
 
 def _freeze(entries):
@@ -105,9 +105,7 @@ def hilbert_acm(grid):
 
 
 def _hilbert_acm(grid):
-    norm = normalize(grid).grid
-    if not is_staircase(norm):
-        raise NotACM("configuration is not ACM")
+    norm = _staircase_form(grid)
     nr, nc = norm.shape
     d = np.zeros((nr + 2, nc + 2), dtype=np.int64)
     for i, row in enumerate(norm.incidence):

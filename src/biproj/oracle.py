@@ -313,7 +313,7 @@ def tor_dimensions(grid, k, field=None, engine="direct"):
     return counters[k]
 
 
-def generator_count_oracle(grid, field=None, d=None):
+def generator_count_oracle(grid, field=None, *, d):
     """Number of minimal generators of I_X in bidegree d, which is
     dim Tor_1(S/I_X) in degree d (reduced Koszul engine; 0 outside (nr, nc))."""
     if d[0] < 0 or d[1] < 0:

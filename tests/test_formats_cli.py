@@ -66,6 +66,17 @@ def test_configuration_rejections():
         formats.parse_configuration([1, 2, 3])
 
 
+@pytest.mark.parametrize("params", [5, "01"], ids=["number", "string"])
+def test_configuration_params_must_be_arrays(tmp_path, capsys, params):
+    # "01" is not the parameters (0, 1), and 5 is not a traceback
+    obj = {"rows": 2, "cols": 1, "points": [[0, 0], [1, 0]], "row_params": params}
+    with pytest.raises(InvalidGrid, match="row_params must be an array"):
+        formats.parse_configuration(obj)
+    code, out, err = run_cli(capsys, "validate", cfg(tmp_path, obj))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidGrid"
+
+
 @pytest.mark.parametrize("bad", [
     {"rows": True, "cols": 2, "points": [[0, 0], [0, 1]]},
     {"rows": 2, "cols": True, "points": [[0, 0], [1, 0]]},
@@ -100,6 +111,15 @@ def test_betti_text_extra_lines_ignored():
     t = BettiTable.make({(1, 0): 1})
     text = formats.render_betti(t) + "\nverification: MATCH\n"
     assert formats.parse_betti_text(text).counters() == t.counters()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("beta0: R(-1,0)\nbeta0: R(-2,0)", "appears twice"),
+    ("beta0: R(-1,0) (+) R(-1,0)", "repeats degree"),
+], ids=["repeated-level", "repeated-degree"])
+def test_betti_text_rejects_repeats(text, message):
+    with pytest.raises(ValueError, match=message):
+        formats.parse_betti_text(text)
 
 
 def test_betti_json_roundtrip():
@@ -263,9 +283,25 @@ def test_cli_resolution_not_interior_exit3(capsys, fixtures_dir):
     assert code == 3 and json.loads(err)["error"] == "NotInterior"
 
 
-def test_cli_resolution_mismatch_exit4(capsys, fixtures_dir):
-    # delta formulas on a non-ACM scheme: honest tables disagree
-    code, out, err = run_cli(capsys, "resolution", str(fixtures_dir / "e3_Z.json"),
+def ghost_delta(monkeypatch):
+    """Makes the CLI's Delta M route add a ghost pair R(-3,-4) to beta0 and beta1."""
+    import biproj.cli
+
+    real = biproj.cli.betti_from_delta
+
+    def ghost(D):
+        b0, b1, b2 = real(D).counters()
+        b0[(3, 4)] += 1
+        b1[(3, 4)] += 1
+        return BettiTable.make(b0, b1, b2)
+
+    monkeypatch.setattr(biproj.cli, "betti_from_delta", ghost)
+
+
+def test_cli_resolution_mismatch_exit4(capsys, fixtures_dir, monkeypatch):
+    ghost_delta(monkeypatch)
+    code, out, err = run_cli(capsys, "resolution", str(fixtures_dir / "e1_X.json"),
+                             "--plan", str(fixtures_dir / "e1_plan.json"),
                              "--method", "delta", "--verify")
     assert code == 4
     assert "verification: MISMATCH" in out
@@ -409,9 +445,10 @@ def test_cli_good_modulus(capsys, fixtures_dir, modulus):
 
 @pytest.mark.parametrize("extra, calls", [((), 1), (("--field", "prime"), 2)])
 def test_cli_mismatch_rechecks_only_prime(capsys, fixtures_dir, monkeypatch, extra, calls):
-    # e3_Z has few points, so auto picks the rationals: nothing to recheck
+    # e1_Z has 26 points, so auto picks the rationals: nothing to recheck
     import biproj.cli
 
+    ghost_delta(monkeypatch)
     fields = []
     real = biproj.cli.betti_oracle
 
@@ -420,7 +457,8 @@ def test_cli_mismatch_rechecks_only_prime(capsys, fixtures_dir, monkeypatch, ext
         return real(grid, field, **kw)
 
     monkeypatch.setattr(biproj.cli, "betti_oracle", counting)
-    code, _, _ = run_cli(capsys, "resolution", str(fixtures_dir / "e3_Z.json"),
+    code, _, _ = run_cli(capsys, "resolution", str(fixtures_dir / "e1_X.json"),
+                         "--plan", str(fixtures_dir / "e1_plan.json"),
                          "--method", "delta", "--verify", *extra)
     assert code == 4
     assert len(fields) == calls
@@ -433,3 +471,74 @@ def test_cli_fuzz_seeded(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["cases"] == 8 and obj["failures"] == []
+
+
+def test_cli_fuzz_checks_delta_route_on_x(capsys, monkeypatch):
+    # one-row staircases have no interior points, so only the empty plan runs
+    ghost_delta(monkeypatch)
+    code, out, err = run_cli(capsys, "fuzz", "--seed", "7", "--cases", "3",
+                             "--max-rows", "1", "--format", "json")
+    assert code == 4
+    assert len(json.loads(out)["failures"]) == 3
+    assert json.loads(err)["error"] == "VerificationMismatch"
+
+
+# Outside the paper's class, whose Delta M table gains a ghost R(-3,-4) in
+# beta0 and beta1; the oracle resolution has none.
+P17 = {"rows": 5, "cols": 6, "points": [
+    [0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [1, 0], [1, 1], [1, 4], [1, 5],
+    [2, 3], [2, 4], [3, 0], [3, 1], [3, 2], [3, 4], [4, 1], [4, 4]]}
+
+
+def non_acm_corpus(n, seed=5):
+    """n random valid non-ACM configurations on grids up to 6x6."""
+    from biproj.grid import PointGrid, is_acm
+
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        nr, nc = (int(x) for x in rng.integers(2, 7, size=2))
+        pts = [(i, j) for i in range(nr) for j in range(nc) if rng.random() < 0.6]
+        g = PointGrid.from_points(nr, nc, pts)
+        if min(g.row_counts()) and min(g.col_counts()) and not is_acm(g):
+            out.append({"rows": nr, "cols": nc, "points": [list(p) for p in pts]})
+    return out
+
+
+def test_cli_delta_refuses_non_acm_without_plan(tmp_path, capsys):
+    configs = [P17] + non_acm_corpus(296)
+    for k, obj in enumerate(configs):
+        path = cfg(tmp_path, obj, "x%d.json" % k)
+        for extra in ((), ("--verify", "--format", "json")):
+            code, out, err = run_cli(capsys, "resolution", path, "--method", "delta", *extra)
+            assert (code, out) == (2, ""), obj
+            assert json.loads(err) == {"error": "NotACM",
+                                       "message": "configuration is not ACM"}
+
+
+def test_cli_oracle_answers_non_acm(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "resolution", cfg(tmp_path, P17),
+                           "--method", "oracle", "--format", "json")
+    assert code == 0
+    table, source = formats.betti_from_json(json.loads(out))
+    assert source == "oracle"
+    b0, b1, _ = table.counters()
+    assert b0[(3, 4)] == b1[(3, 4)] == 0
+    assert table.counters() == oracle.betti_oracle(formats.parse_configuration(P17)).counters()
+
+
+def test_readme_commands_exit_0(capsys, monkeypatch):
+    import shlex
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("biproj ")]
+    assert len(commands) >= 5
+    monkeypatch.chdir(root)
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out

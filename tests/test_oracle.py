@@ -276,6 +276,8 @@ def test_generator_count_oracle(two_row, big_staircase):
     res = remove_points(big_staircase, plan)
     assert generator_count_oracle(res.grid_z, d=(3, 6)) == 2
     assert generator_count_oracle(res.grid_z, d=(6, 2)) == 0
+    with pytest.raises(TypeError, match="required keyword-only argument: 'd'"):
+        generator_count_oracle(two_row)
 
 
 def test_verify_separator(two_row):

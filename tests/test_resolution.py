@@ -7,7 +7,13 @@ import pytest
 
 from biproj import formats
 from biproj.cli import random_plan, random_staircase
-from biproj.errors import CollinearRemoval, NotACM, NotInterior, PointNotInScheme
+from biproj.errors import (
+    CollinearRemoval,
+    InvalidGrid,
+    NotACM,
+    NotInterior,
+    PointNotInScheme,
+)
 from biproj.grid import PointGrid, staircase
 from biproj.hilbert import DeltaMatrix, delta, hilbert_acm
 from biproj.resolution import (
@@ -173,6 +179,30 @@ def test_remove_points_big_example(big_staircase):
     # every step satisfied both mapping-cone conditions
     assert all(rep.ok for rep in res.conditions)
     assert [sep.degree for sep in res.separators] == list(plan.degrees)
+
+
+def test_remove_points_empty_plan_is_acm_resolution():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        g = random_staircase(rng)
+        nr, nc = g.shape
+        rows, cols = rng.permutation(nr), rng.permutation(nc)
+        g = PointGrid.from_points(nr, nc, [(int(rows[i]), int(cols[j])) for i, j in g.points()])
+        res = remove_points(g, [])
+        assert res.betti == acm_resolution(g)
+        assert (res.hilbert.entries == hilbert_acm(g).entries).all()
+        assert res.hilbert.degree == g.npoints
+        assert res.grid_z is g
+        assert res.separators == res.conditions == res.plan.points == ()
+    non_acm = PointGrid.from_points(2, 2, [(0, 0), (1, 1)])
+    empty_line = PointGrid.from_points(2, 2, [(0, 0), (0, 1)])
+    for bad in (non_acm, empty_line):
+        for f in (acm_resolution, hilbert_acm, lambda g: remove_points(g, [])):
+            with pytest.raises(Exception) as info:
+                f(bad)
+            assert (type(info.value), str(info.value)) == (
+                (NotACM, "configuration is not ACM") if bad is non_acm
+                else (InvalidGrid, "empty line R_1"))
 
 
 def test_remove_points_single_interior(two_row):
