@@ -42,7 +42,6 @@ from .hilbert import (
     DeltaMatrix,
     HilbertMatrix,
     accumulate,
-    boundary_functions,
     check_T0,
     delta,
     delta_corners_vertices,
@@ -52,10 +51,8 @@ from .hilbert import (
 from .oracle import (
     betti_oracle,
     drop_sets,
-    generator_count_oracle,
     hilbert_oracle,
     separating_degree_oracle,
-    tor_dimensions,
     verify_separator,
 )
 from .resolution import (

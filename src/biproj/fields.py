@@ -2,9 +2,19 @@
 
 Matrices are numpy arrays throughout: dtype=object holding Fraction for the
 rationals, dtype=int64 for a prime field.  Both field classes expose the
-same small API (scalar conversion, rref, extend, rank, reduce_rows), so the
-oracle code is field-agnostic.  extend(ech, new) is the rref of ech's rows
-stacked on new, which is how the oracle grows its chains of value spaces.
+same ten methods, so the oracle code is field-agnostic:
+
+- scalar(x), vector(vals), array(rows), zeros(m, n): values in the field;
+- convert_params(params): line parameters as scalars, BadField if two meet;
+- scale_columns(A, s): A with column c multiplied by s[c];
+- rref(A), rank(A): the reduced echelon basis (an Echelon) and the rank;
+- reduce_rows(W, ech): W with ech's pivot coordinates eliminated;
+- extend(ech, new): the rref of ech's rows stacked on new, which is how
+  the oracle grows its chains of value spaces.
+
+Over a prime field rref, rank, reduce_rows and extend take any int64
+representative of each residue: they reduce their input mod p on entry, so
+a caller may pass -A for a matrix A with entries in [0, p).
 
 Over the rationals the elimination itself runs on Python ints.  Each row is
 multiplied by the lcm of its denominators, then a fraction-free Gauss-Jordan
@@ -116,12 +126,6 @@ class Rationals:
         """Converts int / Fraction / '7/3' strings to Fraction."""
         return Fraction(x)
 
-    def mul(self, x, y):
-        return x * y
-
-    def sub(self, x, y):
-        return x - y
-
     def convert_params(self, params):
         """Returns line parameters as field scalars; they must stay distinct."""
         vals = [self.scalar(x) for x in params]
@@ -143,18 +147,10 @@ class Rationals:
         out[:, :] = Fraction(0)
         return out
 
-    def ones(self, n):
-        out = np.empty(n, dtype=object)
-        out[:] = Fraction(1)
-        return out
-
     def vector(self, vals):
         out = np.empty(len(vals), dtype=object)
         out[:] = [self.scalar(x) for x in vals]
         return out
-
-    def neg_matrix(self, A):
-        return -A
 
     def scale_columns(self, A, scale):
         return A * scale[None, :]
@@ -253,12 +249,6 @@ class PrimeField:
             raise BadField("denominator %d vanishes mod %d" % (x.denominator, self.p))
         return num * pow(den, -1, self.p) % self.p
 
-    def mul(self, x, y):
-        return int(x) * int(y) % self.p
-
-    def sub(self, x, y):
-        return (int(x) - int(y)) % self.p
-
     def convert_params(self, params):
         vals = [self.scalar(x) for x in params]
         if len(set(vals)) != len(vals):
@@ -274,14 +264,8 @@ class PrimeField:
     def zeros(self, m, n):
         return np.zeros((m, n), dtype=np.int64)
 
-    def ones(self, n):
-        return np.ones(n, dtype=np.int64)
-
     def vector(self, vals):
         return np.array([self.scalar(x) for x in vals], dtype=np.int64)
-
-    def neg_matrix(self, A):
-        return (-A) % self.p
 
     def scale_columns(self, A, scale):
         return A * scale[None, :] % self.p

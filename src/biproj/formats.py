@@ -199,8 +199,8 @@ _TERM_RE = re.compile(r"^R\((-?\d+),(-?\d+)\)(?:\^(\d+))?$")
 def parse_betti_text(text):
     """Inverse of render_betti (on canonical output).
 
-    A level line that appears twice, or a degree repeated within a level,
-    is a ValueError; canonical output never has either.
+    A level line that appears twice, a degree repeated within a level, or
+    a multiplicity 0 is a ValueError; canonical output never has any.
     """
     found = {}
     for raw in text.splitlines():
@@ -223,6 +223,9 @@ def parse_betti_text(text):
                 degree = (-int(m.group(1)), -int(m.group(2)))
                 if degree in entries:
                     raise ValueError("%s repeats degree %s" % (name, list(degree)))
-                entries[degree] = int(m.group(3) or 1)
+                mult = int(m.group(3) or 1)
+                if mult < 1:
+                    raise ValueError("multiplicity %d < 1 at %s" % (mult, name))
+                entries[degree] = mult
         found[name] = entries
     return BettiTable.make(*(found.get(level, {}) for level in _LEVELS))

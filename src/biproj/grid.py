@@ -339,12 +339,20 @@ def _classify_points(grid):
     corners, _ = corners_and_vertices(grid)
     rcount = grid.row_counts()
     ccount = grid.col_counts()
+    # reach[i]: the largest column of a corner in row i or below (corners
+    # lie on the padded staircase, rows 0..nr), a suffix maximum
+    nr = grid.shape[0]
+    reach = [0] * (nr + 2)
+    for ci, cj in corners:
+        reach[ci] = max(reach[ci], cj)
+    for i in range(nr, -1, -1):
+        reach[i] = max(reach[i], reach[i + 1])
     out = {}
     for ni, row in enumerate(norm.grid.incidence):
         for nj, on in enumerate(row):
             if not on:
                 continue
-            interior = any(strictly_below((ni, nj), c) for c in corners)
+            interior = nj < reach[ni + 1]
             oi, oj = norm.row_perm[ni], norm.col_perm[nj]
             out[(oi, oj)] = PointClass(
                 position=(oi, oj),

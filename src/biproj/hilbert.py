@@ -143,25 +143,6 @@ def check_T0(D):
     return ValidationReport(tuple(bad))
 
 
-def boundary_functions(M):
-    """The stabilization indices i(j) = min{t : m_tj = m_{t+1,j}} and j(i)."""
-    wi, wj = M.window
-
-    def i_of(j):
-        for t in range(wi):
-            if M.m(t, j) == M.m(t + 1, j):
-                return t
-        return wi
-
-    def j_of(i):
-        for t in range(wj):
-            if M.m(i, t) == M.m(i, t + 1):
-                return t
-        return wj
-
-    return i_of, j_of
-
-
 def puncture_hilbert(M, r, s):
     """Removes a point with unique minimal separating degree (r,s):
     subtracts 1 from every m_ij with (i,j) >= (r,s).

@@ -20,7 +20,7 @@ hilbert_acm.
 """
 
 from collections import Counter
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .resolution import BettiTable
 
 def _powers(field, vals, kmax):
     """Array (kmax+1, N) whose row k holds vals**k."""
-    rows = [field.ones(vals.shape[0])]
+    rows = [field.vector([1] * vals.shape[0])]
     for _ in range(kmax):
         rows.append(field.scale_columns(rows[-1][None, :], vals)[0])
     return np.vstack(rows)
@@ -158,15 +158,8 @@ class _KoszulModule:
         self.reduced = reduced
         # x0 and y0 evaluate to 1 at every point: their scale is None, and
         # multiplying by them keeps the values as they are
-        if reduced:
-            self.vars = (((1, 0), spaces.tvals), ((0, 1), None), ((0, 1), spaces.uvals))
-        else:
-            self.vars = (
-                ((1, 0), None),
-                ((1, 0), spaces.tvals),
-                ((0, 1), None),
-                ((0, 1), spaces.uvals),
-            )
+        x1, y0, y1 = ((1, 0), spaces.tvals), ((0, 1), None), ((0, 1), spaces.uvals)
+        self.vars = (x1, y0, y1) if reduced else (((1, 0), None), x1, y0, y1)
         self._comp = {}
         self._mult = {}
 
@@ -223,19 +216,13 @@ def _homology_at(module, i, j):
 
     subsets = [list(combinations(range(nvars), k)) for k in range(nvars + 1)]
     dims = [{T: module.dim(*cdeg(T)) for T in subsets[k]} for k in range(nvars + 1)]
-    kdim = [sum(dims[k].values()) for k in range(nvars + 1)]
+    # ofs[k][T]: where T's block starts in C_k (rows of d_k, columns of d_(k+1))
+    ofs = [dict(zip(d, accumulate(d.values(), initial=0))) for d in dims]
+    kdim = [sum(d.values()) for d in dims]
     ranks = [0] * (nvars + 2)
     for k in range(1, nvars + 1):
         if kdim[k] == 0 or kdim[k - 1] == 0:
             continue
-        rofs, ofs = {}, 0
-        for T in subsets[k]:
-            rofs[T] = ofs
-            ofs += dims[k][T]
-        cofs, ofs = {}, 0
-        for T in subsets[k - 1]:
-            cofs[T] = ofs
-            ofs += dims[k - 1][T]
         mat = field.zeros(kdim[k], kdim[k - 1])
         for T in subsets[k]:
             if dims[k][T] == 0:
@@ -246,8 +233,8 @@ def _homology_at(module, i, j):
                     continue
                 block = module.mult(T[l], *cdeg(T))
                 if l % 2:
-                    block = field.neg_matrix(block)
-                r0, c0 = rofs[T], cofs[T2]
+                    block = -block  # field.rank reduces any representative
+                r0, c0 = ofs[k][T], ofs[k - 1][T2]
                 mat[r0 : r0 + dims[k][T], c0 : c0 + dims[k - 1][T2]] = block
         ranks[k] = field.rank(mat)
     h = [kdim[k] - ranks[k] - ranks[k + 1] for k in range(nvars + 1)]
@@ -255,26 +242,6 @@ def _homology_at(module, i, j):
     if h[0] != (1 if (i, j) == (0, 0) else 0):
         raise OracleInconsistency("Tor_0 is %d in degree (%d,%d)" % (h[0], i, j))
     return h
-
-
-def _check_engine(engine):
-    if engine not in ("reduced", "direct"):
-        raise ValueError("unknown engine %r" % engine)
-
-
-def _betti_counters(spaces, engine):
-    """k -> Counter of dim Tor_k by bidegree up to (nr, nc), k = 0..#vars."""
-    module = _KoszulModule(spaces, reduced=(engine == "reduced"))
-    nvars = len(module.vars)
-    counters = {k: Counter() for k in range(nvars + 1)}
-    nr, nc = spaces.shape
-    for i in range(nr + 1):
-        for j in range(nc + 1):
-            h = _homology_at(module, i, j)
-            for k in range(nvars + 1):
-                if h[k]:
-                    counters[k][(i, j)] = h[k]
-    return counters
 
 
 def betti_oracle(grid, field=None, engine="reduced"):
@@ -289,10 +256,19 @@ def betti_oracle(grid, field=None, engine="reduced"):
     vanishes for i > nr.  Reducing by y0 gives j > nc the same way, and
     V_(u,v) = V_(u,nc-1) for v >= nc-1: the clamp _Spaces.at reads through.
     """
-    _check_engine(engine)
+    if engine not in ("reduced", "direct"):
+        raise ValueError("unknown engine %r" % engine)
     field = field or default_field(grid.npoints)
     spaces = _Spaces(grid, field)
-    counters = _betti_counters(spaces, engine)
+    module = _KoszulModule(spaces, reduced=(engine == "reduced"))
+    # counters[k]: dim Tor_k by bidegree; _homology_at checks Tor_0
+    counters = [Counter() for _ in range(len(module.vars) + 1)]
+    nr, nc = spaces.shape
+    for i in range(nr + 1):
+        for j in range(nc + 1):
+            for k, h in enumerate(_homology_at(module, i, j)):
+                if h:
+                    counters[k][(i, j)] = h
     table = BettiTable.make(counters[1], counters[2], counters[3])
     defects = table.hilbert_defects(spaces.hilbert())
     if defects:
@@ -300,25 +276,6 @@ def betti_oracle(grid, field=None, engine="reduced"):
     if engine == "direct" and counters[4]:
         raise OracleInconsistency("nonzero Tor_4: %s" % counters[4])
     return table
-
-
-def tor_dimensions(grid, k, field=None, engine="direct"):
-    """Counter of dim Tor_k(S/I_X) by bidegree; every nonzero one lies in
-    the window (nr, nc) of betti_oracle."""
-    _check_engine(engine)
-    field = field or default_field(grid.npoints)
-    counters = _betti_counters(_Spaces(grid, field), engine)
-    if k not in counters:
-        raise ValueError("engine %r has no homological degree %d" % (engine, k))
-    return counters[k]
-
-
-def generator_count_oracle(grid, field=None, *, d):
-    """Number of minimal generators of I_X in bidegree d, which is
-    dim Tor_1(S/I_X) in degree d (reduced Koszul engine; 0 outside (nr, nc))."""
-    if d[0] < 0 or d[1] < 0:
-        raise ValueError("bidegree must be componentwise nonnegative")
-    return tor_dimensions(grid, 1, field, engine="reduced")[tuple(d)]
 
 
 def verify_separator(sep, grid_Z, removed, field=None):
@@ -331,8 +288,12 @@ def verify_separator(sep, grid_Z, removed, field=None):
     h, k = removed
     if not (0 <= h < nr and 0 <= k < nc):
         raise InvalidGrid("removed point (%d,%d) outside the grid" % (h, k))
-    ts = field.convert_params(grid_Z.row_params)
-    us = field.convert_params(grid_Z.col_params)
+    ts, us = grid_Z.row_params, grid_Z.col_params
+    # BadField if the lines collide over the field.  Past this check every
+    # parameter denominator is a unit mod p, so mapping each exact product
+    # into the field once is a ring homomorphism and keeps the verdict.
+    field.convert_params(ts)
+    field.convert_params(us)
     nrows = sum(1 for kind, _ in sep.lines if kind == "R")
     ncols = len(sep.lines) - nrows
     if (nrows, ncols) != tuple(sep.degree):
@@ -341,14 +302,10 @@ def verify_separator(sep, grid_Z, removed, field=None):
         if (kind == "R" and not 0 <= idx < nr) or (kind == "C" and not 0 <= idx < nc):
             raise InvalidGrid("separator line %s_%d outside the grid" % (kind, idx))
 
-    def value(t, u):
-        acc = field.scalar(1)
+    def value(i, j):
+        acc = 1
         for kind, idx in sep.lines:
-            term = field.sub(t, ts[idx]) if kind == "R" else field.sub(u, us[idx])
-            acc = field.mul(acc, term)
-        return acc
+            acc *= ts[i] - ts[idx] if kind == "R" else us[j] - us[idx]
+        return field.scalar(acc)
 
-    for (i, j) in grid_Z.points():
-        if value(ts[i], us[j]) != 0:
-            return False
-    return value(ts[h], us[k]) != 0
+    return value(h, k) != 0 and all(value(i, j) == 0 for (i, j) in grid_Z.points())

@@ -116,9 +116,6 @@ class BettiTable:
             if val != m[i][j]
         ]
 
-    def is_empty(self):
-        return not (self.beta0 or self.beta1 or self.beta2)
-
 
 def betti_diff(t1, t2):
     """Multiset differences per level: (level, degree, mult_in_t1, mult_in_t2)."""

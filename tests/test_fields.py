@@ -85,6 +85,39 @@ def test_random_rank_agreement(field):
         assert field.rank(field.array(A.tolist())) == expected
 
 
+def test_fields_expose_the_same_ten_methods():
+    def methods(field):
+        return {n for n in dir(field) if not n.startswith("_") and callable(getattr(field, n))}
+
+    assert methods(QQ) == methods(GFP) == {
+        "scalar", "vector", "array", "zeros", "convert_params",
+        "scale_columns", "rref", "rank", "reduce_rows", "extend"}
+
+
+@pytest.mark.parametrize("field", [GFP, PrimeField(101)], ids=lambda f: f.name)
+def test_prime_elimination_takes_any_representative(field):
+    # the Koszul differentials carry negated blocks -A, A in [0, p): rref,
+    # rank, reduce_rows and extend read any integer matrix as its residues,
+    # including entries +-p that stand for 0
+    p = field.p
+    rng = np.random.default_rng(29)
+    for m, n in [(3, 4), (5, 5), (6, 3), (4, 8)]:
+        A = rng.integers(0, p, (m, n))
+        A[0] = 2 * A[1] % p  # a dependent row, so the rank is below m
+        A[:, 0] = 0
+        ref = field.rref(A)
+        for rep in (-A, A + p * rng.integers(-2, 3, (m, n))):
+            before = rep.copy()
+            ech = field.rref(rep)
+            assert ech.pivots == ref.pivots and (ech.rows == ref.rows).all()
+            assert field.rank(rep) == field.rank(rep % p) == len(ref.pivots) < m
+            assert (field.reduce_rows(rep, ref) == field.reduce_rows(rep % p, ref)).all()
+            ext = field.extend(field.rref(A[:1]), rep)
+            assert ext.pivots == field.rref(np.vstack([A[:1], rep % p])).pivots
+            assert (rep == before).all()  # inputs are left as they were
+        assert ((rep % p == 0) & (rep != 0)).any()  # some +-p stands for 0
+
+
 def test_prime_field_rejects_bad_moduli():
     for p in (-7, 0, 1, 4, 9, 91, 2**31 - 3, 2**32 + 15):
         with pytest.raises(BadField):

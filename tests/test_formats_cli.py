@@ -1,6 +1,8 @@
 """File formats, renderings, and the command-line front end."""
 
 import json
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,7 +118,8 @@ def test_betti_text_extra_lines_ignored():
 @pytest.mark.parametrize("text, message", [
     ("beta0: R(-1,0)\nbeta0: R(-2,0)", "appears twice"),
     ("beta0: R(-1,0) (+) R(-1,0)", "repeats degree"),
-], ids=["repeated-level", "repeated-degree"])
+    ("beta0: R(-1,0)^0", "multiplicity 0"),  # betti_from_json rejects it too
+], ids=["repeated-level", "repeated-degree", "zero-multiplicity"])
 def test_betti_text_rejects_repeats(text, message):
     with pytest.raises(ValueError, match=message):
         formats.parse_betti_text(text)
@@ -527,17 +530,32 @@ def test_cli_oracle_answers_non_acm(tmp_path, capsys):
     assert table.counters() == oracle.betti_oracle(formats.parse_configuration(P17)).counters()
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
+def test_demo_runs(path, capsys):
+    # in process, so a public name the demos use cannot vanish unseen
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
 def test_readme_commands_exit_0(capsys, monkeypatch):
     import shlex
-    from pathlib import Path
 
-    root = Path(__file__).resolve().parent.parent
-    readme = (root / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     commands = [shlex.split(line)[1:] for line in block.splitlines()
                 if line.startswith("biproj ")]
     assert len(commands) >= 5
-    monkeypatch.chdir(root)
+    monkeypatch.chdir(ROOT)
     for argv in commands:
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, ""), argv

@@ -11,7 +11,6 @@ from biproj.hilbert import (
     DeltaMatrix,
     HilbertMatrix,
     accumulate,
-    boundary_functions,
     check_T0,
     delta,
     delta_corners_vertices,
@@ -86,14 +85,6 @@ def test_check_T0_third_condition():
     rep = check_T0(DeltaMatrix(np.array([[1, 0], [-1, 0]])))
     assert not rep.ok
     assert any(v.startswith("(3)") for v in rep.violations)
-
-
-def test_boundary_functions(big_staircase):
-    M = hilbert_acm(big_staircase)
-    i_of, j_of = boundary_functions(M)
-    assert i_of(0) == 5  # six distinct rows: stabilizes entering degree 5
-    assert j_of(0) == 6  # seven distinct columns
-    assert i_of(7) == i_of(8)  # beyond stabilization nothing moves
 
 
 def test_puncture_hilbert_drops_up_set(two_row):

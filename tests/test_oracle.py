@@ -13,7 +13,7 @@ import pytest
 import biproj
 from biproj import oracle
 from biproj.cli import random_plan, random_staircase
-from biproj.errors import BadField
+from biproj.errors import BadField, NotACM
 from biproj.fields import GFP, QQ, PrimeField
 from biproj.grid import PointGrid, staircase
 from biproj.oracle import (
@@ -22,10 +22,8 @@ from biproj.oracle import (
     _upset_root,
     betti_oracle,
     drop_sets,
-    generator_count_oracle,
     hilbert_oracle,
     separating_degree_oracle,
-    tor_dimensions,
     verify_separator,
 )
 from biproj.resolution import acm_resolution, removal_plan, remove_points, separator_for
@@ -86,17 +84,21 @@ def test_betti_oracle_removal_case(big_staircase):
     assert betti_oracle(res.grid_z, GFP).counters() == res.betti.counters()
 
 
-def test_betti_oracle_fields_agree_scrambled_rational_params():
-    # staircase (5,4,3,2) minus two interior points, lines shuffled and
-    # parameters m + 1/(2 + m mod 3): QQ, GF(p) and the removal theorem agree
+def _scrambled_removal():
+    """Staircase (5,4,3,2) minus two interior points, lines shuffled and
+    given parameters m + 1/(2 + m mod 3): (removal result, scrambled Z)."""
     x = staircase((5, 4, 3, 2))
     res = remove_points(x, removal_plan(x, [(0, 2), (1, 1)]))
-    z = res.grid_z
     row_perm, col_perm = [2, 0, 3, 1], [3, 0, 4, 1, 2]
     params = lambda n: [m + Fraction(1, 2 + m % 3) for m in (3, -1, 4, 0, 7)[:n]]
-    scrambled = PointGrid.from_points(
-        4, 5, [(row_perm[i], col_perm[j]) for (i, j) in z.points()],
+    return res, PointGrid.from_points(
+        4, 5, [(row_perm[i], col_perm[j]) for (i, j) in res.grid_z.points()],
         row_params=params(4), col_params=params(5)[::-1])
+
+
+def test_betti_oracle_fields_agree_scrambled_rational_params():
+    # QQ, GF(p) and the removal theorem agree
+    res, scrambled = _scrambled_removal()
     qq = betti_oracle(scrambled, QQ)
     assert qq.counters() == betti_oracle(scrambled, GFP).counters()
     assert qq.counters() == res.betti.counters()
@@ -110,8 +112,6 @@ def test_betti_oracle_rejects_unknown_engine(two_row, monkeypatch):
     monkeypatch.setattr(oracle, "_Spaces", no_spaces)
     with pytest.raises(ValueError):
         betti_oracle(two_row, engine="floating")
-    with pytest.raises(ValueError, match="unknown engine"):
-        tor_dimensions(staircase((2, 1)), 1, engine="floating")
     with pytest.raises(ValueError, match="unknown engine"):
         betti_oracle(staircase(range(18, 0, -1)), GFP, engine="floating")
 
@@ -175,13 +175,14 @@ def _chain_schemes():
 def test_proven_window_matches_wider_window(field):
     # every Tor_k lies in (nr, nc): Koszul homology of the clamped value
     # spaces on every bidegree up to (nr+2, nc+2) is zero outside it, and
-    # the rest is what betti_oracle and tor_dimensions report.  The last
-    # scheme has an empty row and an empty column.  The direct engine over
-    # QQ, the slowest pair, runs on the schemes of at most 8 points.
+    # the rest is what betti_oracle reports, with Tor_0 = k in degree (0,0)
+    # and no Tor_4.  The last scheme has an empty row and an empty column.
+    # The direct engine over QQ, the slowest pair, runs on the schemes of at
+    # most 8 points.
     empty_lines = PointGrid.from_points(
         4, 4, [(0, 0), (0, 1), (0, 3), (1, 1), (1, 3), (3, 0), (3, 3)],
         row_params=(Fraction(-1, 3), 2, 5, 0), col_params=(1, 0, 9, Fraction(7, 2)))
-    for n, g in enumerate(_chain_schemes() + [empty_lines]):
+    for g in _chain_schemes() + [empty_lines]:
         for engine in ("reduced", "direct"):
             if engine == "direct" and field is QQ and g.npoints > 8:
                 continue
@@ -195,9 +196,8 @@ def test_proven_window_matches_wider_window(field):
                             assert i <= nr and j <= nc, (k, i, j)
                             wide[k][(i, j)] = d
             assert betti_oracle(g, field, engine).counters() == (wide[1], wide[2], wide[3])
+            assert wide[0] == Counter({(0, 0): 1})
             assert not wide.get(4)
-            k = n % len(wide)  # every k, spread over the schemes
-            assert tor_dimensions(g, k, field, engine) == wide[k]
 
 
 def _assert_same_echelon(ech, ref):
@@ -225,17 +225,6 @@ def test_value_space_chain_matches_full_elimination(field):
                 _assert_same_echelon(ech, field.rref(field.array(rows)))
                 _assert_same_echelon(module._component(u, v)[1],
                                      field.rref(field.reduce_rows(ech.rows, spaces.at(u - 1, v))))
-
-
-def test_tor_dimensions(two_row):
-    t1 = tor_dimensions(two_row, 1, engine="direct")
-    assert t1 == Counter({(2, 0): 1, (1, 2): 1, (0, 4): 1})
-    assert tor_dimensions(two_row, 4, engine="direct") == Counter()
-    with pytest.raises(ValueError):
-        tor_dimensions(two_row, 4, engine="reduced")  # only three variables
-    for engine in ("reduced", "direct"):
-        # Tor_0(S/I_X, k) is k, in degree (0,0) only
-        assert tor_dimensions(two_row, 0, engine=engine) == Counter({(0, 0): 1})
 
 
 def test_separating_degree_oracle(two_row):
@@ -267,19 +256,6 @@ def test_upset_root():
     assert _upset_root(set(), window) is None
 
 
-def test_generator_count_oracle(two_row, big_staircase):
-    t = acm_resolution(two_row)
-    for (d, mult) in t.beta0:
-        assert generator_count_oracle(two_row, d=d) == mult
-    assert generator_count_oracle(two_row, d=(2, 2)) == 0
-    plan = removal_plan(big_staircase, [(0, 4), (1, 3), (2, 1), (3, 2), (4, 0)])
-    res = remove_points(big_staircase, plan)
-    assert generator_count_oracle(res.grid_z, d=(3, 6)) == 2
-    assert generator_count_oracle(res.grid_z, d=(6, 2)) == 0
-    with pytest.raises(TypeError, match="required keyword-only argument: 'd'"):
-        generator_count_oracle(two_row)
-
-
 def test_verify_separator(two_row):
     sep = separator_for(two_row, (0, 1))
     z = two_row.without((0, 1))
@@ -293,6 +269,30 @@ def test_verify_separator(two_row):
     # wrong degree bookkeeping is rejected before any evaluation
     bad2 = dataclasses.replace(sep, degree=(2, 2))
     assert not verify_separator(bad2, z, (0, 1))
+
+
+@pytest.mark.parametrize("field", [QQ, GFP, PrimeField(10007)], ids=lambda f: f.name)
+def test_verify_separator_rational_params(field):
+    # every point the split-curve rule separates on the scrambled grid with
+    # Fraction parameters; each product is taken exactly, then in the field.
+    # Swapping the first line for the one through the point must fail.
+    import dataclasses
+
+    _, g = _scrambled_removal()
+    checked = 0
+    for pos in g.points():
+        try:
+            sep = separator_for(g, pos)
+        except NotACM:
+            continue
+        rest = g.without(pos)
+        assert verify_separator(sep, rest, pos, field), pos
+        kind = sep.lines[0][0]
+        through = (kind, pos[0] if kind == "R" else pos[1])
+        bad = dataclasses.replace(sep, lines=(through,) + sep.lines[1:])
+        assert not verify_separator(bad, rest, pos, field), pos
+        checked += 1
+    assert checked  # four of the twelve points
 
 
 def test_prime_field_parameter_collision():

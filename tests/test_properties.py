@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from biproj import formats
 from biproj.fields import GFP
-from biproj.grid import PointKind, classify_points, normalize, staircase
+from biproj.grid import PointGrid, PointKind, classify_points, is_acm, normalize, staircase
 from biproj.hilbert import accumulate, check_T0, delta, hilbert_acm
 from biproj.oracle import betti_oracle, drop_sets, hilbert_oracle, _upset_root
 from biproj.resolution import acm_resolution, betti_from_delta, removal_plan, remove_points
@@ -37,13 +37,30 @@ def test_normalize_inverts_scrambling(lengths, rnd):
     nr, nc = g.shape
     rperm = list(range(nr)); rnd.shuffle(rperm)
     cperm = list(range(nc)); rnd.shuffle(cperm)
-    from biproj.grid import PointGrid
     pts = [(rperm.index(i), cperm.index(j)) for (i, j) in g.points()]
     scrambled = PointGrid.from_points(nr, nc, pts)
     norm = normalize(scrambled)
     assert norm.grid.incidence == g.incidence
     again = normalize(norm.grid)
     assert again.grid == norm.grid
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.integers(1, 8), min_size=1, max_size=8), st.randoms(use_true_random=False))
+def test_boundary_points_are_the_acm_removals(lengths, rnd):
+    # on a scrambled staircase a point is boundary iff removing it keeps the
+    # scheme ACM; a point alone on its row or column (its removal would leave
+    # an empty line) is always boundary
+    g = staircase(sorted(lengths, reverse=True))
+    nr, nc = g.shape
+    rperm, cperm = rnd.sample(range(nr), nr), rnd.sample(range(nc), nc)
+    x = PointGrid.from_points(nr, nc, [(rperm[i], cperm[j]) for (i, j) in g.points()])
+    for pc in classify_points(x):
+        boundary = pc.kind is PointKind.BOUNDARY
+        if pc.row_count < 2 or pc.col_count < 2:
+            assert boundary, pc
+        else:
+            assert is_acm(x.without(pc.position)) == boundary, pc
 
 
 @settings(deadline=None, max_examples=25)
