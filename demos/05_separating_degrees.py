@@ -3,21 +3,22 @@
 The separating degree of a point records the bidegrees where a form can
 vanish on everything else yet survive at the point.  Counting points on its
 row and column predicts it; deleting the point's coordinate from every
-value space measures it.  The two always agree, and the set of degrees
-where the Hilbert function drops is exactly an up-set.
+value space measures it.  The two always agree: the set of degrees where
+the Hilbert function drops is exactly the up-set of the predicted degree,
+for interior and boundary points alike.
 """
 
 from biproj import classify_points, drop_sets, hilbert_oracle, staircase
 
 g = staircase((4, 2))
 print(__doc__)
-M = hilbert_oracle(g)
-predicted = {pc.position: pc.separating_degree for pc in classify_points(g)}
+wi, wj = hilbert_oracle(g).window
 measured = drop_sets(g)
 
-for pos in g.points():
-    cells = measured[pos]
-    root = min(cells)
-    print("P%s: predicted %s, drop set has %2d cells, minimum %s, interior: %s"
-          % (pos, predicted[pos], len(cells), root,
-             all(c >= root for c in cells)))
+for pc in classify_points(g):
+    r, s = pc.separating_degree
+    upset = {(i, j) for i in range(r, wi + 1) for j in range(s, wj + 1)}
+    cells = measured[pc.position]
+    print("P%s %-8s predicted %s, drop set has %2d cells, up-set of the prediction: %s"
+          % (pc.position, pc.kind.value, pc.separating_degree, len(cells), cells == upset))
+    assert cells == upset, "drop set of P%s is not the up-set of %s" % (pc.position, (r, s))

@@ -226,10 +226,12 @@ def cmd_resolution(args):
 
     mismatch = None
     if args.verify:
-        oracle_field = field or default_field(grid_final.npoints)
-        reference = betti_oracle(grid_final, oracle_field)
-        if reference.counters() != table.counters() and oracle_field.kind == "prime":
-            reference = betti_oracle(grid_final, QQ)  # rule out unlucky prime
+        reference = table  # --method oracle printed the oracle's own table
+        if args.method != "oracle":
+            oracle_field = field or default_field(grid_final.npoints)
+            reference = betti_oracle(grid_final, oracle_field)
+            if reference.counters() != table.counters() and oracle_field.kind == "prime":
+                reference = betti_oracle(grid_final, QQ)  # rule out unlucky prime
         mismatch = betti_diff(table, reference)
         obj["verification"] = {
             "match": not mismatch,

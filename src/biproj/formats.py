@@ -14,26 +14,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidGrid
-from .grid import PointGrid
+from .grid import PointGrid, _exact
 from .resolution import BettiTable
 
 
 def _is_int(x):
     """JSON integers only: bool is an int subclass, but true is not 1 here."""
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _parse_param(x):
-    if isinstance(x, bool):
-        raise InvalidGrid("line parameter %r is not a number" % (x,))
-    if isinstance(x, int):
-        return x
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            raise InvalidGrid("bad line parameter %r" % (x,))
-    raise InvalidGrid("line parameter %r is not an integer or 'p/q' string" % (x,))
 
 
 def _emit_param(x):
@@ -73,7 +60,13 @@ def parse_configuration(obj):
             continue
         if not isinstance(params, (list, tuple)):
             raise InvalidGrid("%s must be an array of line parameters" % key)
-        kw[key] = [_parse_param(x) for x in params]
+        # the JSON type gate, then _exact in file order; a bad parameter is
+        # reported before from_points' shape and point checks run
+        kw[key] = []
+        for x in params:
+            if not isinstance(x, (int, str)):
+                raise InvalidGrid("line parameter %r is not an integer or 'p/q' string" % (x,))
+            kw[key].append(_exact(x))
     return PointGrid.from_points(nrows, ncols, points, **kw)
 
 
@@ -142,6 +135,15 @@ def betti_to_json(table, source, certified_conditions=None):
     return out
 
 
+def _add_summand(entries, level, degree, m):
+    """Records R(-p,-q)^m of one level: m >= 1 and each degree at most once."""
+    if m < 1:
+        raise ValueError("multiplicity %r < 1 at %s" % (m, level))
+    if degree in entries:
+        raise ValueError("%s repeats degree %s" % (level, list(degree)))
+    entries[degree] = m
+
+
 def betti_from_json(obj):
     """BettiFile dict -> (BettiTable, source).
 
@@ -166,12 +168,7 @@ def betti_from_json(obj):
                 raise ValueError("%s degree %r is not a [p, q] integer pair" % (level, degree))
             if not _is_int(m):
                 raise ValueError("%s multiplicity %r is not an integer" % (level, m))
-            if m < 1:
-                raise ValueError("multiplicity %r < 1 at %s" % (m, level))
-            degree = tuple(degree)
-            if degree in entries:
-                raise ValueError("%s repeats degree %s" % (level, list(degree)))
-            entries[degree] = m
+            _add_summand(entries, level, tuple(degree), m)
         levels.append(entries)
     return BettiTable.make(*levels), obj.get("source")
 
@@ -220,12 +217,7 @@ def parse_betti_text(text):
                 m = _TERM_RE.match(chunk.strip())
                 if not m:
                     raise ValueError("bad summand %r" % chunk.strip())
-                degree = (-int(m.group(1)), -int(m.group(2)))
-                if degree in entries:
-                    raise ValueError("%s repeats degree %s" % (name, list(degree)))
-                mult = int(m.group(3) or 1)
-                if mult < 1:
-                    raise ValueError("multiplicity %d < 1 at %s" % (mult, name))
-                entries[degree] = mult
+                _add_summand(entries, name, (-int(m.group(1)), -int(m.group(2))),
+                             int(m.group(3) or 1))
         found[name] = entries
     return BettiTable.make(*(found.get(level, {}) for level in _LEVELS))

@@ -44,9 +44,32 @@ def strictly_below(d1, d2):
 
 @dataclass(frozen=True)
 class PointGrid:
+    """Valid by construction: at least one row and one column, rectangular
+    incidence, one exact (see _exact), pairwise distinct parameter per line.
+    Empty lines and an empty scheme are allowed; validate reports them."""
+
     incidence: tuple        # (a+1) rows of (b+1) bools
     row_params: tuple       # affine parameter t_i of line R_i, pairwise distinct
     col_params: tuple       # affine parameter u_j of line C_j
+
+    def __post_init__(self):
+        inc = self.incidence
+        if not inc or not inc[0]:
+            raise InvalidGrid("grid must have at least one row and one column")
+        nc = len(inc[0])
+        if any(len(row) != nc for row in inc):
+            raise InvalidGrid("ragged incidence matrix")
+        rows = tuple(_exact(x) for x in self.row_params)
+        cols = tuple(_exact(x) for x in self.col_params)
+        for name, params, n in (("row", rows, len(inc)), ("col", cols, nc)):
+            if len(params) != n:
+                raise InvalidGrid("%s_params has %d entries for %d lines"
+                                  % (name, len(params), n))
+            if len(set(params)) != n:
+                raise InvalidGrid("duplicate %s line parameters" % name)
+        object.__setattr__(self, "incidence", tuple(tuple(row) for row in inc))
+        object.__setattr__(self, "row_params", rows)
+        object.__setattr__(self, "col_params", cols)
 
     @staticmethod
     def from_points(nrows, ncols, points, row_params=None, col_params=None):
@@ -64,27 +87,12 @@ class PointGrid:
             if inc[i][j]:
                 raise InvalidGrid("duplicate point (%d,%d)" % (i, j))
             inc[i][j] = True
-        if row_params is None:
-            row_params = range(nrows)
-        if col_params is None:
-            col_params = range(ncols)
-        row_params = tuple(_exact(x) for x in row_params)
-        col_params = tuple(_exact(x) for x in col_params)
-        for name, params, n in (("row", row_params, nrows), ("col", col_params, ncols)):
-            if len(params) != n:
-                raise InvalidGrid("%s_params has %d entries for %d lines"
-                                  % (name, len(params), n))
-            if len(set(params)) != n:
-                raise InvalidGrid("duplicate %s line parameters" % name)
-        return PointGrid(
-            incidence=tuple(tuple(row) for row in inc),
-            row_params=row_params,
-            col_params=col_params,
-        )
+        return PointGrid(inc, range(nrows) if row_params is None else row_params,
+                         range(ncols) if col_params is None else col_params)
 
     @property
     def shape(self):
-        return (len(self.incidence), len(self.incidence[0]) if self.incidence else 0)
+        return (len(self.incidence), len(self.incidence[0]))
 
     @property
     def npoints(self):
@@ -117,16 +125,19 @@ class PointGrid:
             raise PointNotInScheme("no point at (%d,%d)" % (i, j))
         inc = [list(row) for row in self.incidence]
         inc[i][j] = False
-        return PointGrid(tuple(tuple(row) for row in inc), self.row_params, self.col_params)
+        return PointGrid(inc, self.row_params, self.col_params)
 
 
 def _exact(x):
     """Line parameters are kept exact: ints stay ints, everything else Fraction."""
     if isinstance(x, bool):
-        raise InvalidGrid("line parameter must be a number, got bool")
-    if isinstance(x, int):
+        raise InvalidGrid("line parameter %r is not a number" % (x,))
+    if isinstance(x, (int, Fraction)):
         return x
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise InvalidGrid("bad line parameter %r" % (x,)) from None
 
 
 def staircase(lengths, ncols=None, **kw):
@@ -154,14 +165,6 @@ class ValidationReport:
 
 
 def _violations(grid, allow_empty_lines=False):
-    inc = grid.incidence
-    if not inc or not inc[0]:
-        yield "grid has no rows or no columns"
-        return
-    nr, nc = grid.shape
-    if any(len(row) != nc for row in inc):
-        yield "ragged incidence matrix"
-        return
     if not allow_empty_lines:
         for i, c in enumerate(grid.row_counts()):
             if c == 0:
@@ -171,14 +174,6 @@ def _violations(grid, allow_empty_lines=False):
                 yield "empty line C_%d" % j
     if grid.npoints == 0:
         yield "scheme is empty"
-    if len(grid.row_params) != nr:
-        yield "row_params has %d entries for %d rows" % (len(grid.row_params), nr)
-    elif len(set(grid.row_params)) != nr:
-        yield "duplicate line parameters among rows"
-    if len(grid.col_params) != nc:
-        yield "col_params has %d entries for %d columns" % (len(grid.col_params), nc)
-    elif len(set(grid.col_params)) != nc:
-        yield "duplicate line parameters among columns"
 
 
 def _violation_tuple(grid, allow_empty_lines):
@@ -188,7 +183,7 @@ def _violation_tuple(grid, allow_empty_lines):
 
 
 def validate(grid, allow_empty_lines=False):
-    """Diagnostic check of all PointGrid invariants.
+    """Reports empty lines and an empty scheme; PointGrid enforces the rest.
 
     Multiplicities are structurally 1 (the incidence matrix is boolean),
     so reducedness needs no check.

@@ -147,22 +147,22 @@ def puncture_hilbert(M, r, s):
     """Removes a point with unique minimal separating degree (r,s):
     subtracts 1 from every m_ij with (i,j) >= (r,s).
 
-    Raises NonPositiveEntry when the subtraction would break the shape of
-    a Hilbert function (a negative entry, or a difference going negative),
-    which signals that (r,s) is not a valid separating degree for M.
+    Raises NonPositiveEntry when HilbertMatrix rejects the result (a
+    negative entry, or a difference going negative), which signals that
+    (r,s) is not a valid separating degree for M.
     """
     wi, wj = M.window
     if not (0 <= r <= wi and 0 <= s <= wj):
         raise ValueError("puncture degree (%d,%d) outside the window (%d,%d)" % (r, s, wi, wj))
     # no special frontier handling: stabilization forces the last two rows and
-    # columns equal, so a puncture there always fails the monotonicity check
+    # columns equal, so a puncture there always breaks monotonicity
     e = np.array(M.entries)
     e[r:, s:] -= 1
-    if (e < 0).any():
-        raise NonPositiveEntry("puncture at (%d,%d) drives an entry negative" % (r, s))
-    if (np.diff(e, axis=0) < 0).any() or (np.diff(e, axis=1) < 0).any():
-        raise NonPositiveEntry("puncture at (%d,%d) breaks monotonicity" % (r, s))
-    return HilbertMatrix(e, degree=M.degree - 1)
+    try:
+        return HilbertMatrix(e, degree=M.degree - 1)
+    except InvalidMatrix as err:
+        raise NonPositiveEntry("puncture at (%d,%d) leaves no Hilbert matrix: %s"
+                               % (r, s, err)) from None
 
 
 def delta_corners_vertices(D):

@@ -43,11 +43,12 @@ class _Spaces:
     """Echelon bases of the value spaces V_(u,v) on the grid's index range
     u < nr, v < nc.  ech[(u,v)] is ech[(u-1,v)] extended by the rows
     t^u u^b, b <= v, which is the rref of all its monomial rows (a reduced
-    echelon form is unique).  Every other cell is read through at()."""
+    echelon form is unique).  Every other cell is read through at().
+    field=None picks default_field for the grid's number of points."""
 
-    def __init__(self, grid, field):
+    def __init__(self, grid, field=None):
         require_valid(grid, allow_empty_lines=True)
-        self.field = field
+        self.field = field = field or default_field(grid.npoints)
         self.shape = nr, nc = grid.shape
         self.window = (nr + 1, nc + 1)
         self.points = grid.points()
@@ -88,7 +89,6 @@ class _Spaces:
 
 def hilbert_oracle(grid, field=None):
     """M(i,j) = rank of the evaluation matrix, on the window (nr+1, nc+1)."""
-    field = field or default_field(grid.npoints)
     return _Spaces(grid, field).hilbert()
 
 
@@ -132,7 +132,6 @@ def drop_sets(grid, field=None):
     vector e_P lies in V_(i,j); in a fully reduced echelon basis that means
     P is a pivot column whose basis row is e_P itself.
     """
-    field = field or default_field(grid.npoints)
     spaces = _Spaces(grid, field)
     drops = {pos: set() for pos in spaces.points}
     wi, wj = spaces.window
@@ -258,7 +257,6 @@ def betti_oracle(grid, field=None, engine="reduced"):
     """
     if engine not in ("reduced", "direct"):
         raise ValueError("unknown engine %r" % engine)
-    field = field or default_field(grid.npoints)
     spaces = _Spaces(grid, field)
     module = _KoszulModule(spaces, reduced=(engine == "reduced"))
     # counters[k]: dim Tor_k by bidegree; _homology_at checks Tor_0

@@ -265,19 +265,15 @@ def remove_points(grid, plan):
     current = grid
     seps, conds = [], []
     for point, (q, p) in zip(plan.points, plan.degrees):
-        # distinct rows/cols keep this point's line counts untouched
-        h, k = point
-        if current.col_counts()[k] != q + 1 or current.row_counts()[h] != p + 1:
-            raise ResolutionInconsistency(
-                "line counts through (%d,%d) do not give degree (%d,%d)" % (h, k, q, p))
         report = check_mapping_cone_conditions(table, q, p)
         conds.append(report)
         if not report.ok:
             raise ResolutionInconsistency("mapping-cone conditions failed at %s" % (report,))
+        # degree (col count - 1, row count - 1): distinct lines keep both counts
         sep = separator_for(current, point)
         if sep.degree != (q, p):
             raise ResolutionInconsistency(
-                "separator of (%d,%d) has degree %s, not (%d,%d)" % (h, k, sep.degree, q, p))
+                "separator of (%d,%d) has degree %s, not (%d,%d)" % (*point, sep.degree, q, p))
         seps.append(sep)
         b0[(q, p)] += 1
         b1[(q + 1, p)] += 1

@@ -125,6 +125,27 @@ def test_betti_text_rejects_repeats(text, message):
         formats.parse_betti_text(text)
 
 
+def _json_reader(summands):
+    return formats.betti_from_json(
+        {"beta0": [{"degree": list(d), "multiplicity": m} for d, m in summands]})[0]
+
+
+def _text_reader(summands):
+    return formats.parse_betti_text("beta0: " + " (+) ".join(
+        "R(%d,%d)^%d" % (-d[0], -d[1], m) for d, m in summands))
+
+
+@pytest.mark.parametrize("reader", [_json_reader, _text_reader], ids=["json", "text"])
+@pytest.mark.parametrize("summands, message", [
+    ([((1, 0), 0)], r"multiplicity 0 < 1 at beta0"),
+    ([((1, 0), 1), ((1, 0), 2)], r"beta0 repeats degree \[1, 0\]"),
+], ids=["zero-multiplicity", "repeated-degree"])
+def test_betti_readers_share_summand_rules(reader, summands, message):
+    assert reader([((1, 0), 2), ((0, 1), 1)]).counters()[0] == {(1, 0): 2, (0, 1): 1}
+    with pytest.raises(ValueError, match=message):
+        reader(summands)
+
+
 def test_betti_json_roundtrip():
     t = acm_resolution(staircase((5, 5, 2)))
     obj = formats.betti_to_json(t, "acm")
@@ -466,6 +487,27 @@ def test_cli_mismatch_rechecks_only_prime(capsys, fixtures_dir, monkeypatch, ext
     assert code == 4
     assert len(fields) == calls
     assert fields[-1].kind == "rationals"
+
+
+@pytest.mark.parametrize("extra", [
+    ("e1_X.json",), ("e1_X.json", "--plan", "e1_plan.json"), ("e3_Z.json", "--field", "prime"),
+], ids=["e1_X", "e1_X-plan", "e3_Z-prime"])
+def test_cli_oracle_verify_runs_the_oracle_once(capsys, fixtures_dir, monkeypatch, extra):
+    # --method oracle prints the oracle's table, so it is its own reference
+    import biproj.cli
+
+    calls = []
+    real = biproj.cli.betti_oracle
+
+    def counting(grid, field=None, **kw):
+        calls.append(field)
+        return real(grid, field, **kw)
+
+    monkeypatch.setattr(biproj.cli, "betti_oracle", counting)
+    monkeypatch.chdir(fixtures_dir)
+    code, out, _ = run_cli(capsys, "resolution", *extra, "--method", "oracle", "--verify")
+    assert code == 0 and "verification: MATCH" in out
+    assert len(calls) == 1
 
 
 def test_cli_fuzz_seeded(capsys):

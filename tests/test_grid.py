@@ -60,6 +60,28 @@ def test_from_points_size_cap_checked_before_allocation():
     assert PointGrid.from_points(14, 13, [(13, 12)]).shape == (14, 13)
 
 
+@pytest.mark.parametrize("incidence, row_params, col_params, message", [
+    ((), (), (0,), "at least one row and one column"),
+    (((True, True), (True,)), (0, 1), (0, 1), "ragged incidence matrix"),
+    (((True, True),), (0,), (0,), "col_params has 1 entries for 2 lines"),
+    (((True, True),), (0,), (1, "1"), "duplicate col line parameters"),
+    (((True, True),), (0,), ("a", 1), "bad line parameter 'a'"),
+    (((True, True),), (True,), (0, 1), "line parameter True is not a number"),
+], ids=["no-rows", "ragged", "too-few-params", "duplicate-params", "not-a-number", "bool"])
+def test_point_grid_is_valid_by_construction(incidence, row_params, col_params, message):
+    with pytest.raises(InvalidGrid, match=message):
+        PointGrid(incidence, row_params, col_params)
+
+
+def test_point_grid_converts_params_and_validate_reports_the_scheme():
+    g = PointGrid([[True, False]], ["1/2"], [0, 1.5])
+    assert g == PointGrid(((True, False),), (Fraction(1, 2),), (0, Fraction(3, 2)))
+    assert hash(g) == hash(PointGrid(g.incidence, g.row_params, g.col_params))
+    assert validate(g).violations == ("empty line C_1",)
+    assert validate(PointGrid(((False,),), (0,), (0,))).violations == (
+        "empty line R_0", "empty line C_0", "scheme is empty")
+
+
 def test_validate_flags_empty_lines():
     g = PointGrid.from_points(2, 2, [(0, 0), (0, 1)])
     rep = validate(g)
