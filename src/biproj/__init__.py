@@ -7,7 +7,12 @@ property, split separators of points, and bigraded minimal free resolutions
 built either combinatorially from the staircase or by removing interior
 points via iterated mapping cones.  Everything is double-checked by an
 exact-arithmetic rank/Koszul-homology oracle.
+
+The fields and oracle modules, which need numpy, load on first use of one
+of their names (PEP 562), so the combinatorial part runs without numpy.
 """
+
+from importlib import import_module as _import_module
 
 from .errors import (
     BadField,
@@ -23,7 +28,6 @@ from .errors import (
     ResolutionInconsistency,
     VerificationMismatch,
 )
-from .fields import GFP, QQ, PrimeField, Rationals, default_field, field_by_name
 from .grid import (
     NormalizedGrid,
     PointClass,
@@ -48,13 +52,6 @@ from .hilbert import (
     hilbert_acm,
     puncture_hilbert,
 )
-from .oracle import (
-    betti_oracle,
-    drop_sets,
-    hilbert_oracle,
-    separating_degree_oracle,
-    verify_separator,
-)
 from .resolution import (
     BettiTable,
     ConditionReport,
@@ -72,4 +69,24 @@ from .resolution import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# name -> the submodule that defines it (or the submodule itself)
+_LAZY = {"fields": "fields", "oracle": "oracle"}
+_LAZY.update(dict.fromkeys(
+    ("GFP", "QQ", "PrimeField", "Rationals", "default_field", "field_by_name"), "fields"))
+_LAZY.update(dict.fromkeys(
+    ("betti_oracle", "drop_sets", "hilbert_oracle", "separating_degree_oracle",
+     "verify_separator"), "oracle"))
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | set(_LAZY))
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    module = _import_module("." + _LAZY[name], __name__)
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__():
+    return sorted((set(globals()) | set(_LAZY))
+                  - {"_LAZY", "_import_module", "__getattr__", "__dir__"})

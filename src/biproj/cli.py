@@ -6,6 +6,10 @@ exit with a stable code: 0 ok, 1 bad input, 2 not ACM, 3 removal-hypothesis
 violation (collinear pair or non-interior point), 4 verification mismatch.
 Errors also emit one machine-readable JSON object on stderr.  The default
 coefficient field can be overridden with --field or BIPROJ_FIELD.
+
+The fields and oracle modules, and numpy with them, are imported only on
+the paths that use them: --oracle, --verify, --method oracle, a field
+name, and fuzz.
 """
 
 import argparse
@@ -13,8 +17,6 @@ import json
 import os
 import sys
 from functools import partial
-
-import numpy as np
 
 from . import formats
 from .errors import (
@@ -24,10 +26,8 @@ from .errors import (
     NotInterior,
     VerificationMismatch,
 )
-from .fields import QQ, default_field, field_by_name
 from .grid import MAX_GRID_CELLS, PointKind, classify_points, corners_and_vertices, is_acm, validate
 from .hilbert import delta, hilbert_acm
-from .oracle import betti_oracle, hilbert_oracle, verify_separator
 from .resolution import betti_diff, betti_from_delta, remove_points
 
 EXIT_OK = 0
@@ -68,7 +68,11 @@ def _emit(args, obj, text):
 
 def _resolve_field(args):
     name = getattr(args, "field", None) or os.environ.get("BIPROJ_FIELD")
-    return field_by_name(name) if name else None
+    if not name:
+        return None
+    from .fields import field_by_name
+
+    return field_by_name(name)
 
 
 def _load(args):
@@ -98,7 +102,9 @@ def cmd_validate(args):
 
 def _hilbert_matrix(args, grid):
     if args.oracle:
-        return hilbert_oracle(grid, _resolve_field(args))
+        from . import oracle
+
+        return oracle.hilbert_oracle(grid, _resolve_field(args))
     try:
         return hilbert_acm(grid)
     except NotACM:
@@ -108,7 +114,7 @@ def _hilbert_matrix(args, grid):
 def _window_entries(entry, window):
     """entry(i, j) on the window; M.m clamps, D.c zero-extends."""
     wi, wj = window
-    return np.array([[entry(i, j) for j in range(wj + 1)] for i in range(wi + 1)])
+    return [[entry(i, j) for j in range(wj + 1)] for i in range(wi + 1)]
 
 
 def cmd_hilbert(args):
@@ -127,9 +133,8 @@ def cmd_delta(args):
     if args.window:
         wi, wj = args.window
     else:
-        support = np.nonzero(D.entries)
-        wi = int(support[0].max()) if support[0].size else 0
-        wj = int(support[1].max()) if support[1].size else 0
+        wi = max((i for i, row in enumerate(D.rows) if any(row)), default=0)
+        wj = max((j for row in D.rows for j, c in enumerate(row) if c), default=0)
     entries = _window_entries(D.c, (wi, wj))
     _emit(args, formats.matrix_to_json(entries, "delta"),
           formats.render_matrix(entries))
@@ -209,7 +214,9 @@ def cmd_resolution(args):
     elif args.method == "delta":
         table, source = betti_from_delta(delta(res.hilbert)), "delta"
     else:
-        table, source = betti_oracle(grid_final, field), "oracle"
+        from . import oracle
+
+        table, source = oracle.betti_oracle(grid_final, field), "oracle"
 
     obj = formats.betti_to_json(table, source, certified)
     lines = [formats.render_betti(table)]
@@ -228,10 +235,13 @@ def cmd_resolution(args):
     if args.verify:
         reference = table  # --method oracle printed the oracle's own table
         if args.method != "oracle":
+            from . import oracle
+            from .fields import QQ, default_field
+
             oracle_field = field or default_field(grid_final.npoints)
-            reference = betti_oracle(grid_final, oracle_field)
+            reference = oracle.betti_oracle(grid_final, oracle_field)
             if reference.counters() != table.counters() and oracle_field.kind == "prime":
-                reference = betti_oracle(grid_final, QQ)  # rule out unlucky prime
+                reference = oracle.betti_oracle(grid_final, QQ)  # rule out unlucky prime
         mismatch = betti_diff(table, reference)
         obj["verification"] = {
             "match": not mismatch,
@@ -284,26 +294,29 @@ def random_plan(grid, rng, max_points=4):
 def _fuzz_one(grid, rng, hmax, field):
     """Checks X and X minus a random plan: the removal, Delta M and oracle
     tables agree, M_Z is the oracle's, and every separator verifies."""
+    from . import oracle
+
     plan = random_plan(grid, rng, max_points=hmax)
     for pts in ([], plan) if plan else ([],):
         where = "%r minus %r" % (grid.row_counts(), pts)
         res = remove_points(grid, pts)
         from_delta = betti_from_delta(delta(res.hilbert))
-        from_oracle = betti_oracle(res.grid_z, field)
+        from_oracle = oracle.betti_oracle(res.grid_z, field)
         if not (res.betti.counters() == from_delta.counters() == from_oracle.counters()):
             return "resolution mismatch on " + where
-        mo = hilbert_oracle(res.grid_z, field)
-        if mo.window != res.hilbert.window or not (mo.entries == res.hilbert.entries).all():
+        if oracle.hilbert_oracle(res.grid_z, field) != res.hilbert:
             return "hilbert mismatch on " + where
         cur = grid
         for sep in res.separators:
             cur = cur.without(sep.point)
-            if not verify_separator(sep, cur, sep.point, field):
+            if not oracle.verify_separator(sep, cur, sep.point, field):
                 return "separator %r fails verification" % (sep,)
     return None
 
 
 def cmd_fuzz(args):
+    import numpy as np
+
     rng = np.random.default_rng(args.seed)
     field = _resolve_field(args)
     failures = []

@@ -11,8 +11,6 @@ import json
 import re
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InvalidGrid
 from .grid import PointGrid, _exact
 from .resolution import BettiTable
@@ -101,16 +99,15 @@ def load_configuration(path):
 
 
 def matrix_to_json(entries, kind):
-    a = np.asarray(entries)
-    return {"kind": kind, "window": [int(a.shape[0] - 1), int(a.shape[1] - 1)],
-            "entries": [[int(x) for x in row] for row in a]}
+    """entries: a nonempty 2-d integer sequence (nested lists, tuples or an ndarray)."""
+    return {"kind": kind, "window": [len(entries) - 1, len(entries[0]) - 1],
+            "entries": [[int(x) for x in row] for row in entries]}
 
 
 def render_matrix(entries):
     """Aligned text: row index down the left, column index across the top."""
-    a = np.asarray(entries)
-    nr, nc = a.shape
-    cells = [[str(int(x)) for x in row] for row in a]
+    cells = [[str(int(x)) for x in row] for row in entries]
+    nr, nc = len(cells), len(cells[0])
     widths = [max(len(str(j)), max(len(cells[i][j]) for i in range(nr)))
               for j in range(nc)]
     left = max(len(str(nr - 1)), 1)

@@ -53,21 +53,22 @@ class PointGrid:
     col_params: tuple       # affine parameter u_j of line C_j
 
     def __post_init__(self):
-        inc = self.incidence
+        inc = tuple(_sequence(row, "incidence row")
+                    for row in _sequence(self.incidence, "incidence"))
         if not inc or not inc[0]:
             raise InvalidGrid("grid must have at least one row and one column")
         nc = len(inc[0])
         if any(len(row) != nc for row in inc):
             raise InvalidGrid("ragged incidence matrix")
-        rows = tuple(_exact(x) for x in self.row_params)
-        cols = tuple(_exact(x) for x in self.col_params)
+        rows = tuple(map(_exact, _sequence(self.row_params, "row_params")))
+        cols = tuple(map(_exact, _sequence(self.col_params, "col_params")))
         for name, params, n in (("row", rows, len(inc)), ("col", cols, nc)):
             if len(params) != n:
                 raise InvalidGrid("%s_params has %d entries for %d lines"
                                   % (name, len(params), n))
             if len(set(params)) != n:
                 raise InvalidGrid("duplicate %s line parameters" % name)
-        object.__setattr__(self, "incidence", tuple(tuple(row) for row in inc))
+        object.__setattr__(self, "incidence", inc)
         object.__setattr__(self, "row_params", rows)
         object.__setattr__(self, "col_params", cols)
 
@@ -126,6 +127,13 @@ class PointGrid:
         inc = [list(row) for row in self.incidence]
         inc[i][j] = False
         return PointGrid(inc, self.row_params, self.col_params)
+
+
+def _sequence(value, what):
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidGrid("%s %r is not a sequence" % (what, value)) from None
 
 
 def _exact(x):

@@ -80,10 +80,7 @@ class _Spaces:
     def hilbert(self):
         """M on the window (nr+1, nc+1) of hilbert_acm."""
         wi, wj = self.window
-        m = np.array(
-            [[self.dim(i, j) for j in range(wj + 1)] for i in range(wi + 1)],
-            dtype=np.int64,
-        )
+        m = [[self.dim(i, j) for j in range(wj + 1)] for i in range(wi + 1)]
         return HilbertMatrix(m, degree=len(self.points))
 
 

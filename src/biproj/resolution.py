@@ -108,7 +108,7 @@ class BettiTable:
                     c[i][j] += mult * a * b
         rows = [accumulate(accumulate(row)) for row in c]
         cols = [list(accumulate(accumulate(col))) for col in zip(*rows)]
-        m = M.entries.tolist()
+        m = M.rows
         return [
             ((i, j), m[i][j], val)
             for i, row in enumerate(zip(*cols))
@@ -311,7 +311,7 @@ def betti_from_delta(D):
     corners, vertices = delta_corners_vertices(D)
     b0, b1, b2 = Counter(corners), Counter(vertices), Counter()
     wi, wj = D.window
-    for i, row in enumerate(D.entries.tolist()):
+    for i, row in enumerate(D.rows):
         for j, c in enumerate(row):
             if c >= 0:
                 continue

@@ -470,17 +470,17 @@ def test_cli_good_modulus(capsys, fixtures_dir, modulus):
 @pytest.mark.parametrize("extra, calls", [((), 1), (("--field", "prime"), 2)])
 def test_cli_mismatch_rechecks_only_prime(capsys, fixtures_dir, monkeypatch, extra, calls):
     # e1_Z has 26 points, so auto picks the rationals: nothing to recheck
-    import biproj.cli
+    import biproj.oracle
 
     ghost_delta(monkeypatch)
     fields = []
-    real = biproj.cli.betti_oracle
+    real = biproj.oracle.betti_oracle
 
     def counting(grid, field=None, **kw):
         fields.append(field)
         return real(grid, field, **kw)
 
-    monkeypatch.setattr(biproj.cli, "betti_oracle", counting)
+    monkeypatch.setattr(biproj.oracle, "betti_oracle", counting)
     code, _, _ = run_cli(capsys, "resolution", str(fixtures_dir / "e1_X.json"),
                          "--plan", str(fixtures_dir / "e1_plan.json"),
                          "--method", "delta", "--verify", *extra)
@@ -494,16 +494,16 @@ def test_cli_mismatch_rechecks_only_prime(capsys, fixtures_dir, monkeypatch, ext
 ], ids=["e1_X", "e1_X-plan", "e3_Z-prime"])
 def test_cli_oracle_verify_runs_the_oracle_once(capsys, fixtures_dir, monkeypatch, extra):
     # --method oracle prints the oracle's table, so it is its own reference
-    import biproj.cli
+    import biproj.oracle
 
     calls = []
-    real = biproj.cli.betti_oracle
+    real = biproj.oracle.betti_oracle
 
     def counting(grid, field=None, **kw):
         calls.append(field)
         return real(grid, field, **kw)
 
-    monkeypatch.setattr(biproj.cli, "betti_oracle", counting)
+    monkeypatch.setattr(biproj.oracle, "betti_oracle", counting)
     monkeypatch.chdir(fixtures_dir)
     code, out, _ = run_cli(capsys, "resolution", *extra, "--method", "oracle", "--verify")
     assert code == 0 and "verification: MATCH" in out

@@ -67,7 +67,12 @@ def test_from_points_size_cap_checked_before_allocation():
     (((True, True),), (0,), (1, "1"), "duplicate col line parameters"),
     (((True, True),), (0,), ("a", 1), "bad line parameter 'a'"),
     (((True, True),), (True,), (0, 1), "line parameter True is not a number"),
-], ids=["no-rows", "ragged", "too-few-params", "duplicate-params", "not-a-number", "bool"])
+    (((True,),), 5, (0,), "row_params 5 is not a sequence"),
+    (((True,),), (0,), None, "col_params None is not a sequence"),
+    ((5,), (0,), (0,), "incidence row 5 is not a sequence"),
+    (7, (0,), (0,), "incidence 7 is not a sequence"),
+], ids=["no-rows", "ragged", "too-few-params", "duplicate-params", "not-a-number", "bool",
+        "scalar-row-params", "none-col-params", "scalar-row", "scalar-incidence"])
 def test_point_grid_is_valid_by_construction(incidence, row_params, col_params, message):
     with pytest.raises(InvalidGrid, match=message):
         PointGrid(incidence, row_params, col_params)

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from biproj.cli import random_staircase
 from biproj.errors import InvalidMatrix, NonPositiveEntry, NotACM
 from biproj.grid import PointGrid, corners_and_vertices, staircase
 from biproj.hilbert import (
@@ -184,3 +185,105 @@ def test_corner_vertex_rule_matches_reference():
         corners, vertices, b0, b1, b2 = _reference_from_delta(D)
         assert delta_corners_vertices(D) == (corners, vertices)
         assert betti_from_delta(D).counters() == (Counter(b0), Counter(b1), Counter(b2))
+
+
+def _ndarray_verdict(entries, degree=None):
+    """The checks HilbertMatrix (degree given) and DeltaMatrix (degree None)
+    made when the window was an int64 ndarray, kept as the reference for
+    the tuple-backed types: None to accept, else the InvalidMatrix message."""
+    arr = np.array(entries, dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        return "expected a nonempty 2-d matrix, got shape %s" % (arr.shape,)
+    if degree is None:
+        return None
+    if arr.shape[0] < 2 or arr.shape[1] < 2 or not 0 <= arr[0, 0] <= 1:
+        return "Hilbert matrix needs a 2x2 window and 0 <= m_00 <= 1"
+    if (np.diff(arr, axis=0) < 0).any() or (np.diff(arr, axis=1) < 0).any():
+        return "Hilbert matrix is not monotone"
+    if (arr[-1] != arr[-2]).any() or (arr[:, -1] != arr[:, -2]).any() or arr[-1, -1] != degree:
+        return "Hilbert matrix window does not reach the stable value %d" % degree
+    return None
+
+
+def _matrix_corpus(rng):
+    """(int64 ndarray, degree) pairs: Hilbert matrices of random staircases,
+    the same with one cell, the degree or the window disturbed, and random
+    small integer matrices of every shape up to 5x5 with its last entry or
+    a random degree; plus the shapes that are not nonempty 2-d."""
+    cases = [(np.zeros(shape, dtype=np.int64), 0)
+             for shape in ((0,), (3,), (0, 3), (2, 0), (1, 1), (1, 4), (4, 1))]
+    for _ in range(150):
+        m = hilbert_acm(random_staircase(rng, 5, 5)).entries
+        cases.append((m, int(m[-1, -1])))
+        i, j = (int(rng.integers(0, n)) for n in m.shape)
+        bumped = m.copy()
+        bumped[i, j] += int(rng.choice([-1, 1]))
+        cases.append((bumped, int(m[-1, -1])))
+        cases.append((m, int(m[-1, -1]) + int(rng.choice([-1, 1]))))
+        cases.append((m[:-1], int(m[-1, -1])))
+        cases.append((m[:, :-2], int(m[-1, -1])))
+    for _ in range(200):
+        shape = tuple(int(n) for n in rng.integers(1, 6, size=2))
+        m = rng.integers(-2, 4, size=shape)
+        cases.append((m, int(m[-1, -1]) if rng.random() < 0.8 else int(rng.integers(0, 5))))
+    return cases
+
+
+def test_matrix_types_match_the_ndarray_rules():
+    rng = np.random.default_rng(1313)
+    verdicts = Counter()
+    for arr, degree in _matrix_corpus(rng):
+        nested = arr.tolist()
+        as_tuples = tuple(map(tuple, nested)) if arr.ndim == 2 else tuple(nested)
+        for build, hilbert in ((lambda e: HilbertMatrix(e, degree), True), (DeltaMatrix, False)):
+            built = []
+            for entries in (arr, nested, as_tuples):
+                want = _ndarray_verdict(entries, degree if hilbert else None)
+                try:
+                    built.append(build(entries))
+                except InvalidMatrix as err:
+                    assert str(err) == want, (entries, degree)
+                else:
+                    assert want is None, (entries, degree)
+                verdicts[want is None] += 1
+            if not built:
+                continue
+            first = built[0]
+            assert all(b == first and hash(b) == hash(first) for b in built)
+            assert all(type(x) is int for row in first.rows for x in row)
+            before = hash(first)
+            view = first.entries
+            assert view.dtype == np.int64 and not view.flags.writeable
+            assert view.tolist() == arr.tolist()
+            with pytest.raises(ValueError):
+                view[0, 0] = 7
+            assert hash(first) == before and first == built[-1]
+            if isinstance(first, HilbertMatrix):
+                assert accumulate(delta(first)) == first
+    assert verdicts[True] >= 900 and verdicts[False] >= 900
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([[0, 1], [1]], "ragged matrix: row 1 has 1 entries, row 0 has 2"),
+    ([[1, 1], [], [1, 1]], "ragged matrix"),
+    ([[0.9, -0.5]], "entry 0.9 is not an integer"),
+    ([[1, 1.0]], "entry 1.0 is not an integer"),
+    ([[1, "1"]], "entry '1' is not an integer"),
+    ([[True, 1]], "entry True is not an integer"),
+    (np.array([[True, False]]), "is not an integer"),
+    (np.array([[0.0, 1.0]]), "is not an integer"),
+    ([[[1, 1]], [[1, 1]]], r"entry \[1, 1\] is not an integer"),
+    (5, r"got shape \(\)"),
+    ([1, 2], r"got shape \(2,\)"),
+], ids=["ragged", "empty-row", "float", "integral-float", "str", "bool", "numpy-bool",
+        "numpy-float", "3-d", "scalar", "1-d"])
+def test_matrix_types_raise_typed_errors(entries, message):
+    for build in (DeltaMatrix, lambda e: HilbertMatrix(e, 1)):
+        with pytest.raises(InvalidMatrix, match=message):
+            build(entries)
+
+
+def test_matrix_types_take_numpy_integer_scalars():
+    D = DeltaMatrix([[np.int64(1), np.int32(1)], [np.uint8(1), 0]])
+    assert D.rows == ((1, 1), (1, 0)) and D.degree == 3
+    assert HilbertMatrix([[np.int64(1), 1], [1, np.int64(1)]], np.int64(1)).m(5, 5) == 1
