@@ -1,46 +1,67 @@
 """Exact scalar fields and the row-echelon linear algebra the oracle runs on.
 
-Matrices are numpy arrays throughout: dtype=object holding Fraction for the
-rationals, dtype=int64 for a prime field.  Both field classes expose the
-same ten methods, so the oracle code is field-agnostic:
+Matrices are numpy arrays throughout: dtype=object holding Python ints for
+the rationals (Fractions only where a caller passes a non-integer value),
+dtype=int64 for a prime field.  Both field classes expose the same ten
+methods, so the oracle code is field-agnostic:
 
 - scalar(x), vector(vals), array(rows), zeros(m, n): values in the field;
-- convert_params(params): line parameters as scalars, BadField if two meet;
+- convert_params(params): line parameters as scalars, BadField if two meet
+  (over the rationals, all times one integer);
 - scale_columns(A, s): A with column c multiplied by s[c];
 - rref(A), rank(A): the reduced echelon basis (an Echelon) and the rank;
-- reduce_rows(W, ech): W with ech's pivot coordinates eliminated;
+- reduce_rows(W, ech): W with ech's pivot coordinates eliminated, up to a
+  nonzero factor common to every row of W;
 - extend(ech, new): the rref of ech's rows stacked on new, which is how
   the oracle grows its chains of value spaces.
+
+An echelon is defined up to a nonzero factor per row.  Over a prime field
+every pivot is 1.  Over the rationals each row is its reduced row times the
+lcm of that row's denominators: a primitive integer row with a positive
+pivot.  That form is as unique as the reduced one, so a chain of extends and
+one elimination of the whole stack give the same echelon.  Scaled rows are
+enough because the oracle reads an echelon only through its pivots, the
+zero pattern of its rows, the space they span and coordinates it passes to
+rank; oracle.py's docstring shows that the factors leave every rank as it
+was.
 
 Over a prime field rref, rank, reduce_rows and extend take any int64
 representative of each residue: they reduce their input mod p on entry, so
 a caller may pass -A for a matrix A with entries in [0, p).
 
-Over the rationals the elimination itself runs on Python ints.  Each row is
-multiplied by the lcm of its denominators, then a fraction-free Gauss-Jordan
-pass (Bareiss, Math. Comp. 22, 1968) updates row_i = (a*row_i - b*row_r) //
-prev, with a the new pivot and prev the one before it; every division is
-exact.  At the end every pivot equals the last one, d, so the reduced
-echelon form is rows / d, and Fractions are built only for the rows that
-are returned.  Fraction arithmetic would instead run a gcd on every
-operation.
+Over the rationals the elimination runs on Python ints and builds no
+Fraction.  convert_params returns integers, so every matrix the oracle
+builds holds ints alone; a matrix holding a Fraction first has each row
+multiplied by the lcm of its denominators, which keeps its span.  rref and
+rank run a fraction-free Gauss-Jordan pass (Bareiss, Math. Comp. 22, 1968),
+row_i = (a*row_i - b*row_r) // prev, with a the new pivot and prev the one
+before it; every division is exact.  rref divides each resulting row by the
+gcd of its entries, signed by its pivot.  reduce_rows returns
+L*W - sum_l W[:, p_l] * (L / c_l) * R_l, with c_l the pivot of basis row R_l
+and L the lcm of the c_l: L times the exact reduction.  The factor must be
+the same for every row of W.  Making each row primitive on its own would
+scale one source vector differently in each coordinate matrix it appears
+in, and the Koszul ranks built from those matrices would change.
+
+extend works the same way over both fields: it reduces the new rows against
+the echelon, eliminates only the residual, clears the residual's pivots
+from the old rows and merges the rows by pivot column.  Over the rationals
+the old rows are then made primitive again.  This is faster than
+eliminating the stack again, whose old rows every fraction-free step would
+rescale.
 
 Over a prime field with (p-1)**2 < 2**63 (p = 2**31 - 1 by default) the
 elimination runs on int64 residues.  A row operation multiplies by one
-scalar, so a single product of residues is reduced at once.  reduce_rows and
-extend clear many pivots in one matrix product instead: the right factor is
-split into 16-bit halves, which keeps every partial sum of up to 2**15
-products below 2**63, and longer inner dimensions are cut into chunks of
-that size (PrimeField._mul).  extend reduces the new rows against the
-echelon in one such product, eliminates only the residual, clears the
-residual's pivots from the old rows in another and merges the rows by pivot
-column; rank eliminates forward only.  Over the rationals, extend eliminates
-the whole stack again: reducing against rows that carry the denominators of
-every earlier step costs more than it saves.
+scalar, so a single product of residues is reduced at once.  reduce_rows
+clears many pivots in one matrix product instead: the right factor is split
+into 16-bit halves, which keeps every partial sum of up to 2**15 products
+below 2**63, and longer inner dimensions are cut into chunks of that size
+(PrimeField._mul).  rank eliminates forward only.
 """
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -57,22 +78,46 @@ RATIONALS_POINT_LIMIT = 30
 # Longest inner dimension PrimeField._mul sums in one int64 product.
 _INNER_MAX = 2**15
 
-_ZERO = Fraction(0)
-
 
 class Echelon(NamedTuple):
-    """A reduced row-echelon basis: unit pivots, zeros above and below."""
+    """A reduced row-echelon basis up to a nonzero factor per row: zeros
+    above and below every pivot.
+
+    Over a prime field every pivot is 1.  Over the rationals each row is its
+    reduced row times the lcm of that row's denominators, a primitive
+    integer row with a positive pivot.  Either form is unique, so two
+    echelons of one space are equal.  The factors leave the pivots, the zero
+    pattern and the span as they were, which is all the oracle reads.
+    """
 
     rows: np.ndarray
     pivots: tuple
 
 
-def _int_row(row):
-    """(ints, den) with row == ints / den, den the lcm of the denominators."""
-    den = lcm(*[x.denominator for x in row])
-    if den == 1:
-        return [x.numerator for x in row], 1
-    return [x.numerator * (den // x.denominator) for x in row], den
+def _rational(x):
+    """x as a Python int when it is an integer, else as a Fraction."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _object_array(rows, ncols):
+    out = np.empty((len(rows), ncols), dtype=object)
+    for i, row in enumerate(rows):
+        out[i, :] = row
+    return out
+
+
+def _int_rows(A):
+    """A's rows as lists of Python ints.  If A holds a Fraction, each row is
+    multiplied by the lcm of its denominators, which keeps its span."""
+    rows = A.tolist()
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows
+    out = []
+    for row in rows:
+        den = lcm(*[x.denominator for x in row])
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
 
 
 def _fraction_free(rows, ncols, jordan):
@@ -110,12 +155,21 @@ def _fraction_free(rows, ncols, jordan):
     return pivots, prev
 
 
-class Rationals:
-    """Exact arithmetic over Q.
+def _primitive(row, pivot):
+    """row divided by the gcd of its entries, signed so row[pivot] > 0."""
+    g = gcd(*row)
+    if row[pivot] < 0:
+        g = -g
+    return row if g == 1 else [x // g for x in row]
 
-    Matrices are object arrays of Fraction; rref, rank and reduce_rows
-    convert them to Python ints, eliminate without fractions and build
-    Fractions only for the rows they return.
+
+class Rationals:
+    """Exact arithmetic over Q on Python ints.
+
+    scalar keeps exact Fractions; vector and array keep integer values as
+    ints.  rref, extend, rank and reduce_rows eliminate on ints and return
+    ints: echelons in their canonical integer form, reductions times one
+    common factor.
     """
 
     name = "rationals"
@@ -127,77 +181,86 @@ class Rationals:
         return Fraction(x)
 
     def convert_params(self, params):
-        """Returns line parameters as field scalars; they must stay distinct."""
-        vals = [self.scalar(x) for x in params]
-        if len(set(vals)) != len(vals):
+        """Returns the line parameters times the lcm of their denominators:
+        distinct integers, a common multiple of the exact values."""
+        vals = [Fraction(x) for x in params]
+        den = lcm(*[x.denominator for x in vals])
+        ints = [x.numerator * (den // x.denominator) for x in vals]
+        if len(set(ints)) != len(ints):
             raise BadField("line parameters collide over the rationals")
-        return vals
+        return ints
 
     def array(self, rows):
-        rows = [[Fraction(x) for x in row] for row in rows]
-        if not rows:
-            return np.empty((0, 0), dtype=object)
-        out = np.empty((len(rows), len(rows[0])), dtype=object)
-        for i, row in enumerate(rows):
-            out[i, :] = row
-        return out
+        rows = [[_rational(x) for x in row] for row in rows]
+        return _object_array(rows, len(rows[0]) if rows else 0)
 
     def zeros(self, m, n):
         out = np.empty((m, n), dtype=object)
-        out[:, :] = Fraction(0)
+        out[:, :] = 0
         return out
 
     def vector(self, vals):
         out = np.empty(len(vals), dtype=object)
-        out[:] = [self.scalar(x) for x in vals]
+        out[:] = [_rational(x) for x in vals]
         return out
 
     def scale_columns(self, A, scale):
         return A * scale[None, :]
 
     def rref(self, A):
-        """Reduced row echelon form; returns the nonzero rows and pivot columns."""
-        rows = [_int_row(row)[0] for row in A.tolist()]
-        pivots, d = _fraction_free(rows, A.shape[1], jordan=True)
-        out = np.empty((len(pivots), A.shape[1]), dtype=object)
-        for i in range(len(pivots)):
-            out[i, :] = [Fraction(x, d) if x else _ZERO for x in rows[i]]
-        return Echelon(out, tuple(pivots))
+        """The canonical integer form of the reduced row echelon basis: its
+        nonzero rows, each primitive with a positive pivot, and the pivot
+        columns."""
+        rows = _int_rows(A)
+        pivots, _ = _fraction_free(rows, A.shape[1], jordan=True)
+        return Echelon(_object_array([_primitive(rows[i], c) for i, c in enumerate(pivots)],
+                                     A.shape[1]), tuple(pivots))
 
     def extend(self, ech, new):
-        """The rref of ech.rows stacked on new.  Eliminating the whole stack
-        again is faster here than reducing new against ech, whose rows carry
-        the denominators of every earlier step."""
-        return self.rref(np.vstack([ech.rows, new]))
+        """The rref of ech.rows stacked on new, for ech already reduced.
+
+        new is reduced against ech and only the residual is eliminated; its
+        pivots are then cleared from ech's rows, which are made primitive
+        again, and the two sets of rows are merged by pivot column.
+        """
+        res = self.rref(self.reduce_rows(new, ech))
+        if not res.pivots:
+            return ech
+        old = [_primitive(row, c)
+               for row, c in zip(self.reduce_rows(ech.rows, res).tolist(), ech.pivots)]
+        pivots = ech.pivots + res.pivots
+        order = np.argsort(pivots, kind="stable")
+        return Echelon(np.vstack([_object_array(old, ech.rows.shape[1]), res.rows])[order],
+                       tuple(pivots[i] for i in order))
 
     def rank(self, A):
-        rows = [_int_row(row)[0] for row in A.tolist()]
-        return len(_fraction_free(rows, A.shape[1], jordan=False)[0])
+        return len(_fraction_free(_int_rows(A), A.shape[1], jordan=False)[0])
 
     def reduce_rows(self, W, ech):
         """Eliminates ech's pivot coordinates from every row of W.
 
-        Returns W - W[:, pivots] . ech.rows, in one pass: ech is fully
-        reduced, so subtracting one basis row leaves W's entries in the
-        other pivot columns as they were.
+        With c_l the pivot of basis row R_l and L the lcm of the c_l,
+        returns L*W - sum_l W[:, p_l] * (L / c_l) * R_l: L times the exact
+        reduction, one factor for every row of W.  ech is fully reduced, so
+        subtracting one basis row leaves W's entries in the other pivot
+        columns as they were.
         """
-        out = W.copy()
         if not ech.pivots:
-            return out
-        den = lcm(*[x.denominator for x in ech.rows.flat])
-        basis = [[x.numerator * (den // x.denominator) for x in row]
-                 for row in ech.rows.tolist()]
-        for i, row in enumerate(W.tolist()):
-            ints, wden = _int_row(row)
-            hits = [(ints[c], brow) for c, brow in zip(ech.pivots, basis) if ints[c]]
-            if not hits:
-                continue
-            acc = [x * den for x in ints]
-            for f, brow in hits:
-                acc = [x - f * y for x, y in zip(acc, brow)]
-            q = wden * den
-            out[i, :] = [Fraction(x, q) if x else _ZERO for x in acc]
-        return out
+            return W.copy()
+        basis = ech.rows.tolist()
+        heads = [row[c] for row, c in zip(basis, ech.pivots)]
+        L = lcm(*heads)
+        basis = [(c, row if h == L else [x * (L // h) for x in row])
+                 for c, h, row in zip(ech.pivots, heads, basis)]
+        out = []
+        for w in W.tolist():
+            acc = w if L == 1 else [L * x for x in w]
+            for c, brow in basis:
+                f = w[c]
+                if f:
+                    acc = [x - f * y for x, y in zip(acc, brow)]
+            out.append(acc)
+        return _object_array(out, W.shape[1])
 
 
 # Miller-Rabin with the first twelve primes as bases decides primality

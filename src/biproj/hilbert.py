@@ -22,14 +22,15 @@ from .errors import InvalidMatrix, NonPositiveEntry
 from .grid import ValidationReport, _staircase_form, corner_vertex_cells, derived
 
 
-def _integer(x):
-    """A matrix entry as an int: numpy integers pass; bool, float and str do not."""
+def _integer(x, what="matrix entry"):
+    """A matrix entry (or degree) as an int: numpy integers pass; bool,
+    float and str do not."""
     if not isinstance(x, bool):
         try:
             return index(x)
         except TypeError:
             pass
-    raise InvalidMatrix("matrix entry %r is not an integer" % (x,))
+    raise InvalidMatrix("%s %r is not an integer" % (what, x))
 
 
 def _not_2d(shape):
@@ -77,6 +78,7 @@ class HilbertMatrix:
     def __post_init__(self):
         rows = _freeze(self.rows)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "degree", _integer(self.degree, "degree"))
         # with monotonicity, 0 <= m_00 makes every entry nonnegative
         if len(rows) < 2 or len(rows[0]) < 2 or not 0 <= rows[0][0] <= 1:
             raise InvalidMatrix("Hilbert matrix needs a 2x2 window and 0 <= m_00 <= 1")

@@ -17,6 +17,26 @@ clamp V_(u,v) = V_(min(u,nr-1), min(v,nc-1)) (proof in betti_oracle).
 Betti numbers come from the bidegrees up to (nr, nc), which hold them all;
 Hilbert matrices and drop sets are reported on (nr+1, nc+1), the window of
 hilbert_acm.
+
+Over the rationals the field computes on integers (see fields.py), and
+each value here is an exact one times a nonzero factor that leaves every
+answer as it is:
+- convert_params multiplies the row parameters by one integer D and the
+  column parameters by one integer E.  The monomial row t^a u^b is then
+  scaled by D^a E^b, so every V_(u,v) is the same space, and Koszul
+  homology on (D x1, y0, E y1) is isomorphic to that on (x1, y0, y1).
+- Echelon row l of a space is c_l > 0 times its reduced row.  Pivots,
+  dimensions and unit rows (drop_sets) do not see the c_l.  A component's
+  basis is fixed once, so each basis vector carries its own factor c_l in
+  every block it is the source of.
+- reduce_rows(W, ech) returns L times the exact reduction, with L fixed by
+  ech alone.  The coordinates mult reads in component (u',v') are the exact
+  ones times the L of its submodule V_(u'-1,v'), a factor fixed by the
+  target component.
+Every Koszul differential is therefore the exact one with each source row
+scaled by its c_l and each target component's columns by its L, and every
+rank is unchanged.  A factor chosen per row of W would break this: one
+source vector would carry a different factor in each block it meets.
 """
 
 from collections import Counter
@@ -42,8 +62,8 @@ def _powers(field, vals, kmax):
 class _Spaces:
     """Echelon bases of the value spaces V_(u,v) on the grid's index range
     u < nr, v < nc.  ech[(u,v)] is ech[(u-1,v)] extended by the rows
-    t^u u^b, b <= v, which is the rref of all its monomial rows (a reduced
-    echelon form is unique).  Every other cell is read through at().
+    t^u u^b, b <= v, which is the echelon of all its monomial rows (the
+    field's echelon form is unique).  Every other cell is read through at().
     field=None picks default_field for the grid's number of points."""
 
     def __init__(self, grid, field=None):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -190,6 +191,13 @@ def _cells(A):
     return [list(row) for row in A.tolist()]
 
 
+def _canonical(row):
+    """A Fraction row times the lcm of its denominators: the integer form
+    Rationals.rref returns for a row of the reduced echelon form."""
+    den = lcm(*[x.denominator for x in row])
+    return [int(x * den) for x in row]
+
+
 def test_rationals_kernel_matches_reference():
     rng = random.Random(20)
     shapes = [(0, 0), (0, 4), (3, 0), (1, 1), (6, 6), (9, 4), (4, 9)]
@@ -202,11 +210,12 @@ def test_rationals_kernel_matches_reference():
         ech = QQ.rref(A)
         assert ech.pivots == tuple(ref_pivots)
         assert ech.rows.shape == (len(ref_rows), n)
-        assert _cells(ech.rows) == ref_rows
-        assert all(type(x) is Fraction for x in ech.rows.flat)
+        assert _cells(ech.rows) == [_canonical(row) for row in ref_rows]
+        assert all(type(x) is int for x in ech.rows.flat)
         assert QQ.rank(A) == len(ref_pivots)
 
-        # reduce_rows against subtracting one basis row at a time
+        # reduce_rows against subtracting one basis row at a time, times
+        # the lcm of ech's pivots, one factor for every row
         wrows = _random_rows(rng, rng.randint(0, 5), n) + rows[:2]
         W = _qq(wrows, n)
         expected = [list(w) for w in wrows]
@@ -214,16 +223,36 @@ def test_rationals_kernel_matches_reference():
             for l, c in enumerate(ref_pivots):
                 f = w[c]
                 w[:] = [x - f * y for x, y in zip(w, ref_rows[l])]
+        L = lcm(*[ech.rows[l, c] for l, c in enumerate(ech.pivots)])
         red = QQ.reduce_rows(W, ech)
         assert red.shape == W.shape
-        assert _cells(red) == expected
-        assert all(type(x) is Fraction for x in red.flat)
+        assert _cells(red) == [[L * x for x in w] for w in expected]
 
         ext_rows, ext_pivots = _reference_rref(rows + wrows, n)
         ext = QQ.extend(ech, W)
         assert ext.pivots == tuple(ext_pivots)
         assert ext.rows.shape == (len(ext_rows), n)
-        assert _cells(ext.rows) == ext_rows
+        assert _cells(ext.rows) == [_canonical(row) for row in ext_rows]
+        assert all(type(x) is int for x in ext.rows.flat)
+
+
+def test_rationals_reduce_rows_scales_all_rows_alike():
+    # the exact reductions (0, 0, -1/2) and (0, 0, -1/3) have different
+    # denominators; making each row primitive on its own would return
+    # (0, 0, -1) twice, which is no common multiple of the two
+    ech = QQ.rref(QQ.array([[2, 0, 1], [0, 3, 1]]))
+    assert _cells(ech.rows) == [[2, 0, 1], [0, 3, 1]]
+    red = QQ.reduce_rows(QQ.array([[1, 0, 0], [0, 1, 0], [0, 0, 5]]), ech)
+    assert _cells(red) == [[0, 0, -3], [0, 0, -2], [0, 0, 30]]
+
+
+def test_rationals_canonical_rows_and_params():
+    # rref rows (1, -1/2, 0) and (0, 0, 1) become (2, -1, 0) and (0, 0, 1)
+    ech = QQ.rref(QQ.array([[-4, 2, 6], [0, 0, Fraction(-1, 3)]]))
+    assert ech.pivots == (0, 2) and _cells(ech.rows) == [[2, -1, 0], [0, 0, 1]]
+    assert QQ.convert_params([Fraction(1, 2), 3, Fraction(-2, 3)]) == [3, 18, -4]
+    with pytest.raises(BadField):
+        QQ.convert_params([Fraction(1, 2), Fraction(2, 4)])
 
 
 def test_rationals_rref_input_untouched():

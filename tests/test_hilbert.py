@@ -1,5 +1,6 @@
 """Hilbert matrices, first differences, puncturing."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -286,4 +287,11 @@ def test_matrix_types_raise_typed_errors(entries, message):
 def test_matrix_types_take_numpy_integer_scalars():
     D = DeltaMatrix([[np.int64(1), np.int32(1)], [np.uint8(1), 0]])
     assert D.rows == ((1, 1), (1, 0)) and D.degree == 3
-    assert HilbertMatrix([[np.int64(1), 1], [1, np.int64(1)]], np.int64(1)).m(5, 5) == 1
+    M = HilbertMatrix([[np.int64(1), 1], [1, np.int64(1)]], np.int64(1))
+    assert M.m(5, 5) == 1 and type(M.degree) is int
+
+
+@pytest.mark.parametrize("degree", [1.0, True, "1", None], ids=["float", "bool", "str", "none"])
+def test_hilbert_matrix_rejects_non_integer_degree(degree):
+    with pytest.raises(InvalidMatrix, match="degree %s is not an integer" % re.escape(repr(degree))):
+        HilbertMatrix([[1, 1], [1, 1]], degree)

@@ -15,7 +15,7 @@ from biproj import oracle
 from biproj.cli import random_plan, random_staircase
 from biproj.errors import BadField, NotACM
 from biproj.fields import GFP, QQ, PrimeField
-from biproj.grid import PointGrid, staircase
+from biproj.grid import PointGrid, is_acm, staircase, validate
 from biproj.oracle import (
     _KoszulModule,
     _Spaces,
@@ -104,6 +104,49 @@ def test_betti_oracle_fields_agree_scrambled_rational_params():
     assert qq.counters() == res.betti.counters()
 
 
+def _rational_corpus():
+    """Fifty seeded small schemes with lines in scrambled order and distinct
+    non-integer parameters of mixed denominators: random point sets (mostly
+    non-ACM), staircases and staircases minus a removal plan."""
+    rng = np.random.default_rng(20261019)
+
+    def params(n):
+        # distinct integer parts and fractional parts in (0, 1): distinct values
+        return [int(m) - 6 + Fraction(int(rng.integers(1, d)), int(d))
+                for m, d in zip(rng.permutation(13)[:n], rng.choice([2, 3, 5, 7], n))]
+
+    out = []
+    for idx in range(50):
+        if idx % 3 == 0:
+            nr, nc = (int(n) for n in rng.integers(2, 5, size=2))
+            pts = [(int(i), int(j)) for i, j in zip(*np.nonzero(rng.random((nr, nc)) < 0.5))]
+            g = PointGrid.from_points(nr, nc, pts or [(0, 0)])
+        elif idx % 3 == 1:
+            g = random_staircase(rng, 4, 4)
+        else:
+            x = random_staircase(rng, 4, 5)
+            g = remove_points(x, random_plan(x, rng, 2)).grid_z
+        nr, nc = g.shape
+        rp, cp = rng.permutation(nr), rng.permutation(nc)
+        out.append(PointGrid.from_points(
+            nr, nc, [(int(rp[i]), int(cp[j])) for i, j in g.points()],
+            row_params=params(nr), col_params=params(nc)))
+    return out
+
+
+def test_rationals_match_prime_field_on_rational_corpus():
+    # the rationals' integer echelons and scaled reductions against GF(p)
+    corpus = _rational_corpus()
+    assert sum(validate(g).ok and not is_acm(g) for g in corpus) >= 15
+    for g in corpus:
+        assert hilbert_oracle(g, QQ) == hilbert_oracle(g, GFP)
+        assert drop_sets(g, QQ) == drop_sets(g, GFP)
+        table = betti_oracle(g, GFP).counters()
+        assert betti_oracle(g, QQ).counters() == table
+        if g.npoints <= 8:
+            assert betti_oracle(g, QQ, engine="direct").counters() == table
+
+
 def test_betti_oracle_rejects_unknown_engine(two_row, monkeypatch):
     # the name is checked before any value space is built
     def no_spaces(*args):
@@ -117,19 +160,20 @@ def test_betti_oracle_rejects_unknown_engine(two_row, monkeypatch):
 
 
 def test_oracle_checks_survive_python_O():
-    # a rank that is always 0 breaks Tor_0 and the Hilbert function, a
-    # mapping-cone report that always fails breaks a removal step, and a
-    # non-monotone matrix is no Hilbert matrix; each must be reported even
-    # with asserts compiled away
+    # a rank that is always 0, over GF(p) and over QQ, breaks Tor_0 and the
+    # Hilbert function, a mapping-cone report that always fails breaks a
+    # removal step, and a non-monotone matrix is no Hilbert matrix; each
+    # must be reported even with asserts compiled away
     code = "\n".join([
         "import sys",
-        "from biproj import OracleInconsistency, PrimeField, betti_oracle, staircase",
+        "from biproj import OracleInconsistency, PrimeField, Rationals, betti_oracle, staircase",
         "from biproj import ConditionReport, ResolutionInconsistency, remove_points, resolution",
-        "PrimeField.rank = lambda self, A: 0",
-        "try:",
-        "    betti_oracle(staircase((2, 1)), PrimeField())",
-        "except OracleInconsistency:",
-        "    print(sys.flags.optimize, 'raised')",
+        "for field in (PrimeField, Rationals):",
+        "    field.rank = lambda self, A: 0",
+        "    try:",
+        "        betti_oracle(staircase((2, 1)), field())",
+        "    except OracleInconsistency:",
+        "        print(sys.flags.optimize, 'raised')",
         "resolution.check_mapping_cone_conditions = (",
         "    lambda table, r, s: ConditionReport((r, s), ((r + 1, s + 1),), ()))",
         "try:",
@@ -145,7 +189,7 @@ def test_oracle_checks_survive_python_O():
     env = dict(os.environ, PYTHONPATH=str(Path(biproj.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.stdout == "1 raised\n1 raised\n1 raised\n", proc.stderr
+    assert proc.stdout == "1 raised\n" * 4, proc.stderr
 
 
 def _chain_schemes():
