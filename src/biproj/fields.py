@@ -55,8 +55,15 @@ elimination runs on int64 residues.  A row operation multiplies by one
 scalar, so a single product of residues is reduced at once.  reduce_rows
 clears many pivots in one matrix product instead: the right factor is split
 into 16-bit halves, which keeps every partial sum of up to 2**15 products
-below 2**63, and longer inner dimensions are cut into chunks of that size
-(PrimeField._mul).  rank eliminates forward only.
+below 2**63 (PrimeField._mul).  An inner dimension of at most 2**15, the
+oracle's every product, is one such pair of products with no accumulator;
+longer ones are cut into chunks of that size.  rref jumps from a pivot to
+the next column with a nonzero entry at or below the next row and stops
+when none is left, so zero rows and zero columns cost no scan; it clears
+each pivot column with one update of the whole matrix.  rank eliminates
+forward only, with one update of the rows below each pivot.  The matrices
+are small, so these kernels are bound by the number of numpy calls, not by
+arithmetic.
 """
 
 from fractions import Fraction
@@ -341,6 +348,8 @@ class PrimeField:
         # (hi-sum mod p) * 2**16 adds less than 2**47.5, still below 2**63.
         # Longer inner dimensions are cut into chunks of _INNER_MAX.
         p = self.p
+        if A.shape[1] <= _INNER_MAX:
+            return ((A @ (B >> 16) % p << 16) + A @ (B & 0xFFFF)) % p
         out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
         for k in range(0, A.shape[1], _INNER_MAX):
             a, b = A[:, k : k + _INNER_MAX], B[k : k + _INNER_MAX]
@@ -349,27 +358,30 @@ class PrimeField:
         return out
 
     def rref(self, A):
+        """Gauss-Jordan that jumps to the next column with a nonzero entry
+        at or below row r, and stops when no such column is left."""
         p = self.p
         A = A % p
-        m, n = A.shape
-        r = 0
+        m = A.shape[0]
+        r = c = 0
         pivots = []
-        for c in range(n):
-            hits = np.nonzero(A[r:, c])[0]
-            if hits.size == 0:
-                continue
-            pivot = r + int(hits[0])
+        while r < m:
+            live = np.flatnonzero(A[r:, c:].any(axis=0))
+            if live.size == 0:
+                break
+            c += int(live[0])
+            pivot = r + int(np.flatnonzero(A[r:, c])[0])
             if pivot != r:
                 A[[r, pivot], :] = A[[pivot, r], :]
             A[r, :] = A[r, :] * pow(int(A[r, c]), -1, p) % p
-            others = np.nonzero(A[:, c])[0]
-            others = others[others != r]
-            if others.size:
-                A[others, :] = (A[others, :] - A[others, c, None] * A[r, None, :]) % p
+            # one update of the whole matrix clears column c; row r and the
+            # rows with a zero there subtract nothing
+            f = A[:, c].copy()
+            f[r] = 0
+            A = (A - f[:, None] * A[r, None, :]) % p
             pivots.append(c)
             r += 1
-            if r == m:
-                break
+            c += 1
         return Echelon(A[:r], tuple(pivots))
 
     def extend(self, ech, new):
@@ -397,16 +409,17 @@ class PrimeField:
         for c in range(n):
             if r == m:
                 break
-            hits = np.nonzero(A[r:, c])[0]
+            hits = np.flatnonzero(A[r:, c])
             if hits.size == 0:
                 continue
-            pivot = r + int(hits[0])
-            if pivot != r:
+            if hits[0]:
+                pivot = r + int(hits[0])
                 A[[r, pivot], c:] = A[[pivot, r], c:]
-            below = r + 1 + np.nonzero(A[r + 1 :, c])[0]
-            if below.size:
-                f = A[below, c] * pow(int(A[r, c]), -1, p) % p
-                A[below, c:] = (A[below, c:] - f[:, None] * A[r, None, c:]) % p
+            if hits.size > 1:
+                # every row below takes the update; a zero in column c
+                # subtracts nothing
+                f = A[r + 1 :, c] * pow(int(A[r, c]), -1, p) % p
+                A[r + 1 :, c:] = (A[r + 1 :, c:] - f[:, None] * A[r, None, c:]) % p
             r += 1
         return r
 

@@ -11,6 +11,7 @@ always means strict in BOTH components.
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from numbers import Integral
 
 from .errors import InvalidGrid, NotACM, PointNotInScheme
 
@@ -137,15 +138,23 @@ def _sequence(value, what):
 
 
 def _exact(x):
-    """Line parameters are kept exact: ints stay ints, everything else Fraction."""
+    """Line parameters are kept exact: integers become ints, everything else
+    a Fraction of Python ints.  A numpy integer, or a Fraction built from
+    them, would otherwise fail in Fraction.__hash__."""
     if isinstance(x, bool):
         raise InvalidGrid("line parameter %r is not a number" % (x,))
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int) or (isinstance(x, Fraction) and type(x.numerator) is int
+                              and type(x.denominator) is int):
         return x
+    if isinstance(x, Integral):
+        return int(x)
     try:
-        return Fraction(x)
+        y = Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise InvalidGrid("bad line parameter %r" % (x,)) from None
+    if type(y.numerator) is int and type(y.denominator) is int:
+        return y
+    return Fraction(int(y.numerator), int(y.denominator))
 
 
 def staircase(lengths, ncols=None, **kw):

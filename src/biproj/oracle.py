@@ -11,6 +11,13 @@ can be computed either from the full four-variable complex on the V's
 V_(u,v)/V_(u-1,v) ("reduced" engine, the default — much smaller blocks),
 whose bases are the rows with the pivots V_(u,v) adds to V_(u-1,v) in the
 chain of echelon bases that _Spaces grows along u.
+The matrices of the variables are built per target component: the images
+of every source basis that maps into (u,v) are stacked and reduced once
+against the full echelon of V_(u,v), which checks that none escapes, and
+their quotient coordinates come from one more reduction on the pivot
+columns of V_(u-1,v) and of the component's basis alone.  _KoszulModule
+fixes the layout of the complex (subsets, degree shifts, faces and signs)
+once, so each bidegree only reads it.
 Everything depends on the grid alone.  _Spaces eliminates the grid's own
 index range u < nr, v < nc once and reads every wider cell through the
 clamp V_(u,v) = V_(min(u,nr-1), min(v,nc-1)) (proof in betti_oracle).
@@ -29,10 +36,13 @@ answer as it is:
   dimensions and unit rows (drop_sets) do not see the c_l.  A component's
   basis is fixed once, so each basis vector carries its own factor c_l in
   every block it is the source of.
-- reduce_rows(W, ech) returns L times the exact reduction, with L fixed by
-  ech alone.  The coordinates mult reads in component (u',v') are the exact
-  ones times the L of its submodule V_(u'-1,v'), a factor fixed by the
-  target component.
+- reduce_rows(W, ech) returns L times the exact reduction, with L the lcm
+  of ech's pivot entries.  The coordinates of every map into component
+  (u',v') come from one reduce_rows on the columns of the pivots of its
+  submodule V_(u'-1,v') and of its basis, against the submodule's rows on
+  those columns.  The pivot entries there are those of V_(u'-1,v'), so the
+  coordinates are the exact ones times the L of V_(u'-1,v'), a factor fixed
+  by the target component and shared by every source that maps into it.
 Every Koszul differential is therefore the exact one with each source row
 scaled by its c_l and each target component's columns by its L, and every
 rank is unchanged.  A factor chosen per row of W would break this: one
@@ -41,6 +51,7 @@ source vector would carry a different factor in each block it meets.
 
 from collections import Counter
 from itertools import accumulate, combinations
+from math import prod
 
 import numpy as np
 
@@ -162,10 +173,20 @@ def drop_sets(grid, field=None):
 
 
 class _KoszulModule:
-    """Graded components and variable action for one engine.
+    """Graded components, variable action and Koszul layout for one engine.
 
     reduced: components N'_(u,v) = V_(u,v)/V_(u-1,v), variables x1, y0, y1.
     direct:  components V_(u,v), variables x0, x1, y0, y1.
+
+    mult(z, u, v) reads the matrix of variable z from component (u,v).  The
+    matrices are built per target component: the first request for a map
+    into (u',v') builds every variable's map into it (_maps_into).
+
+    The layout of the Koszul complex is fixed here once: levels[k] lists,
+    for each k-subset T of the variables in combinations order, its degree
+    shift (the sum of its variables' degrees) and its faces, one
+    (variable T[l], index of T minus T[l] among the (k-1)-subsets, l odd)
+    per l; an odd l is the sign -1.
     """
 
     def __init__(self, spaces, reduced=True):
@@ -176,6 +197,18 @@ class _KoszulModule:
         # multiplying by them keeps the values as they are
         x1, y0, y1 = ((1, 0), spaces.tvals), ((0, 1), None), ((0, 1), spaces.uvals)
         self.vars = (x1, y0, y1) if reduced else (((1, 0), None), x1, y0, y1)
+        degs = [d for d, _ in self.vars]
+        subsets = [list(combinations(range(len(degs)), k)) for k in range(len(degs) + 1)]
+        index = [{T: n for n, T in enumerate(level)} for level in subsets]
+
+        def shift(T):
+            return (sum(degs[t][0] for t in T), sum(degs[t][1] for t in T))
+
+        def faces(T):
+            k = len(T)
+            return [(T[l], index[k - 1][T[:l] + T[l + 1 :]], l % 2) for l in range(k)]
+
+        self.levels = [[(shift(T), faces(T)) for T in level] for level in subsets]
         self._comp = {}
         self._mult = {}
 
@@ -204,56 +237,70 @@ class _KoszulModule:
     def mult(self, z, u, v):
         """Matrix of multiplication by variable z from component (u,v)."""
         key = (z, u, v)
-        if key in self._mult:
-            return self._mult[key]
+        if key not in self._mult:
+            (du, dv), _ = self.vars[z]
+            self._maps_into(u + du, v + dv)
+        return self._mult[key]
+
+    def _maps_into(self, u, v):
+        """Builds the matrix of every variable into component (u,v) at once.
+
+        The images of all source bases are stacked and reduced once against
+        the full echelon of V_(u,v): a nonzero residual is an image outside
+        the target.  The coordinates are read from the columns of the
+        submodule's and the basis's pivots only: with the submodule
+        re-indexed to pivots 0..k-1, reduce_rows on those columns gives
+        the same numbers as the reduction of whole rows, column by column.
+        """
         field = self.field
-        (du, dv), scale = self.vars[z]
-        _, src = self._component(u, v)
-        tsub, tbas = self._component(u + du, v + dv)
-        w = src.rows if scale is None else field.scale_columns(src.rows, scale)
-        if tsub.pivots:
-            w = field.reduce_rows(w, tsub)
-        coords = w[:, list(tbas.pivots)]
-        resid = field.reduce_rows(w, tbas)
-        if (resid != 0).any():
+        sub, basis = self._component(u, v)
+        keys, images = [], []
+        for z, ((du, dv), scale) in enumerate(self.vars):
+            src = self._component(u - du, v - dv)[1]
+            keys.append(((z, u - du, v - dv), len(src.pivots)))
+            images.append(src.rows if scale is None else field.scale_columns(src.rows, scale))
+        w = np.vstack(images)
+        if (field.reduce_rows(w, self.spaces.at(u, v)) != 0).any():
             raise OracleInconsistency("image escapes the target component")
-        self._mult[key] = coords
-        return coords
+        if sub.pivots:
+            cols = list(sub.pivots + basis.pivots)
+            k = len(sub.pivots)
+            narrow = Echelon(sub.rows[:, cols], tuple(range(k)))
+            coords = field.reduce_rows(w[:, cols], narrow)[:, k:]
+        else:
+            coords = w[:, list(basis.pivots)]
+        start = 0
+        for key, n in keys:
+            self._mult[key] = coords[start : start + n]
+            start += n
 
 
 def _homology_at(module, i, j):
     """Dimensions (H_0, ..., H_n) of the Koszul complex in bidegree (i,j)."""
     field = module.field
-    nvars = len(module.vars)
-    degs = [d for d, _ in module.vars]
-
-    def cdeg(T):
-        return (i - sum(degs[t][0] for t in T), j - sum(degs[t][1] for t in T))
-
-    subsets = [list(combinations(range(nvars), k)) for k in range(nvars + 1)]
-    dims = [{T: module.dim(*cdeg(T)) for T in subsets[k]} for k in range(nvars + 1)]
-    # ofs[k][T]: where T's block starts in C_k (rows of d_k, columns of d_(k+1))
-    ofs = [dict(zip(d, accumulate(d.values(), initial=0))) for d in dims]
-    kdim = [sum(d.values()) for d in dims]
-    ranks = [0] * (nvars + 2)
-    for k in range(1, nvars + 1):
+    levels = module.levels
+    dims = [[module.dim(i - a, j - b) for (a, b), _ in level] for level in levels]
+    kdim = [sum(d) for d in dims]
+    ranks = [0] * (len(levels) + 1)
+    for k in range(1, len(levels)):
         if kdim[k] == 0 or kdim[k - 1] == 0:
             continue
+        # where each block starts in C_k (rows of d_k) and C_(k-1) (columns)
+        rofs = list(accumulate(dims[k], initial=0))
+        cofs = list(accumulate(dims[k - 1], initial=0))
         mat = field.zeros(kdim[k], kdim[k - 1])
-        for T in subsets[k]:
-            if dims[k][T] == 0:
+        for t, ((a, b), faces) in enumerate(levels[k]):
+            if dims[k][t] == 0:
                 continue
-            for l in range(k):
-                T2 = T[:l] + T[l + 1 :]
-                if dims[k - 1][T2] == 0:
+            r0, r1 = rofs[t], rofs[t + 1]
+            for z, f, odd in faces:
+                if dims[k - 1][f] == 0:
                     continue
-                block = module.mult(T[l], *cdeg(T))
-                if l % 2:
-                    block = -block  # field.rank reduces any representative
-                r0, c0 = ofs[k][T], ofs[k - 1][T2]
-                mat[r0 : r0 + dims[k][T], c0 : c0 + dims[k - 1][T2]] = block
+                block = module.mult(z, i - a, j - b)
+                # field.rank reduces any representative of -block
+                mat[r0:r1, cofs[f] : cofs[f + 1]] = -block if odd else block
         ranks[k] = field.rank(mat)
-    h = [kdim[k] - ranks[k] - ranks[k + 1] for k in range(nvars + 1)]
+    h = [kdim[k] - ranks[k] - ranks[k + 1] for k in range(len(levels))]
     # Tor_0(S/I, k) is k in degree (0,0): a strong internal consistency check
     if h[0] != (1 if (i, j) == (0, 0) else 0):
         raise OracleInconsistency("Tor_0 is %d in degree (%d,%d)" % (h[0], i, j))
@@ -317,10 +364,11 @@ def verify_separator(sep, grid_Z, removed, field=None):
         if (kind == "R" and not 0 <= idx < nr) or (kind == "C" and not 0 <= idx < nc):
             raise InvalidGrid("separator line %s_%d outside the grid" % (kind, idx))
 
+    # the curve's value at (i,j) is an exact row factor times a column factor
+    rowf = [prod(t - ts[idx] for kind, idx in sep.lines if kind == "R") for t in ts]
+    colf = [prod(u - us[idx] for kind, idx in sep.lines if kind == "C") for u in us]
+
     def value(i, j):
-        acc = 1
-        for kind, idx in sep.lines:
-            acc *= ts[i] - ts[idx] if kind == "R" else us[j] - us[idx]
-        return field.scalar(acc)
+        return field.scalar(rowf[i] * colf[j])
 
     return value(h, k) != 0 and all(value(i, j) == 0 for (i, j) in grid_Z.points())

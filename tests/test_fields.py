@@ -375,3 +375,42 @@ def test_prime_product_exact_past_one_chunk(p):
         assert field._mul(A, B).tolist() == expected
     assert field._mul(np.zeros((1, 0), dtype=np.int64),
                       np.zeros((0, 2), dtype=np.int64)).tolist() == [[0, 0]]
+
+
+def test_prime_product_exact_in_one_chunk():
+    # an inner dimension of exactly 2**15 is one product of split halves
+    # with no accumulator; every entry p - 1 is its largest sum
+    for p in (101, 2**31 - 1, LARGEST_P):
+        field = PrimeField(p)
+        A = np.full((2, 2**15), p - 1, dtype=np.int64)
+        assert field._mul(A, A.T.copy()).tolist() == [[2**15 * (p - 1) ** 2 % p] * 2] * 2
+
+
+@pytest.mark.parametrize("field", [PrimeField(101), GFP], ids=lambda f: f.name)
+def test_prime_kernel_edge_shapes(field):
+    # rref skips to the next column with a nonzero entry at or below the
+    # current row and stops when none is left: empty shapes, all-zero
+    # matrices, zero rows above, between and below the pivots and a single
+    # entry in the last column all match the reference
+    p = field.p
+    rng = random.Random(25)
+    cases = [([], 0), ([], 6), ([[]] * 5, 0), ([[]], 0), ([[0] * 5], 5),
+             ([[0] * 4] * 3, 4), ([[0, 0, 0, p - 1]], 4), ([[0, 0, 0], [0, 0, 0], [0, 0, 7]], 3),
+             ([[0, 3, 1, 0], [0, 0, 0, 0], [0, 6, 2, 0], [0, 0, 0, 5], [0, 0, 0, 0]], 4)]
+    for _ in range(60):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        rows = _random_rows_mod(rng, m, n, p)
+        for _ in range(rng.randint(1, 3)):
+            rows.insert(rng.randint(0, len(rows)), [0] * n)
+        cases.append((rows, n))
+    for rows, n in cases:
+        A = _gf(rows, n)
+        ref_rows, ref_pivots = _reference_rref_mod(rows, n, p)
+        ech = field.rref(A)
+        assert ech.pivots == tuple(ref_pivots), rows
+        assert ech.rows.dtype == np.int64 and ech.rows.shape == (len(ref_rows), n)
+        assert ech.rows.tolist() == ref_rows
+        assert field.rank(A) == len(ref_pivots)
+        assert A.tolist() == rows
+        ext = field.extend(field.rref(_gf([], n)), A)
+        assert ext.pivots == tuple(ref_pivots) and ext.rows.tolist() == ref_rows

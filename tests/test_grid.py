@@ -87,6 +87,24 @@ def test_point_grid_converts_params_and_validate_reports_the_scheme():
         "empty line R_0", "empty line C_0", "scheme is empty")
 
 
+def test_point_grid_takes_numpy_built_params():
+    # numpy integers, and Fractions built from them, become the same exact
+    # parameters as Python ints: equal grids, equal hashes, int parts only
+    import numpy as np
+
+    ints = PointGrid([[True, True], [True, False]], [Fraction(1, 2), 3], [-2, Fraction(7, 3)])
+    g = PointGrid([[True, True], [True, False]],
+                  [Fraction(1, np.int64(2)), np.int64(3)],
+                  np.array([Fraction(np.int32(-2)), Fraction(np.int64(7), np.int64(3))]))
+    assert g == ints and hash(g) == hash(ints)
+    assert g.row_params[1] == 3 and type(g.row_params[1]) is int
+    for x in g.row_params + g.col_params:
+        assert type(x) is int or (type(x.numerator) is int and type(x.denominator) is int)
+    assert PointGrid([[True]], [np.uint8(5)], [np.int16(-1)]).row_params == (5,)
+    with pytest.raises(InvalidGrid, match="duplicate row"):
+        PointGrid([[True], [True]], [Fraction(np.int64(2), np.int64(4)), Fraction(1, 2)], [0])
+
+
 def test_validate_flags_empty_lines():
     g = PointGrid.from_points(2, 2, [(0, 0), (0, 1)])
     rep = validate(g)

@@ -192,6 +192,39 @@ def test_oracle_checks_survive_python_O():
     assert proc.stdout == "1 raised\n" * 4, proc.stderr
 
 
+def test_koszul_checks_survive_python_O():
+    # value spaces corrupted after they are built: V_(1,1) without one of
+    # the pivots it adds to V_(0,1) lets the images of the variables escape
+    # it, and V_(1,1) without a pivot of V_(0,1) breaks the pivot subsets
+    # of its quotient; both must be reported with asserts compiled away
+    code = "\n".join([
+        "import sys",
+        "from biproj import OracleInconsistency, PrimeField, Rationals, staircase",
+        "from biproj import oracle",
+        "from biproj.fields import Echelon",
+        "for field in (PrimeField(), Rationals()):",
+        "    for new_pivot in (True, False):",
+        "        spaces = oracle._Spaces(staircase((3, 3, 2)), field)",
+        "        ech, sub = spaces.ech[(1, 1)], spaces.ech[(0, 1)]",
+        "        drop = max(l for l, c in enumerate(ech.pivots) if (c in sub.pivots) != new_pivot)",
+        "        keep = [l for l in range(len(ech.pivots)) if l != drop]",
+        "        spaces.ech[(1, 1)] = Echelon(ech.rows[keep], tuple(ech.pivots[l] for l in keep))",
+        "        module = oracle._KoszulModule(spaces)",
+        "        try:",
+        "            for i in range(4):",
+        "                for j in range(4):",
+        "                    oracle._homology_at(module, i, j)",
+        "        except OracleInconsistency as e:",
+        "            print(sys.flags.optimize, e)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(biproj.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    expected = ("1 image escapes the target component\n"
+                "1 pivots of V_(0,1) are not among those of V_(1,1)\n")
+    assert proc.stdout == expected * 2, proc.stderr
+
+
 def _chain_schemes():
     """Seeded schemes: ACM, punctured and non-ACM, each also with its lines
     shuffled and given non-integer parameters."""
@@ -269,6 +302,35 @@ def test_value_space_chain_matches_full_elimination(field):
                 _assert_same_echelon(ech, field.rref(field.array(rows)))
                 _assert_same_echelon(module._component(u, v)[1],
                                      field.rref(field.reduce_rows(ech.rows, spaces.at(u - 1, v))))
+
+
+def _old_mult(module, z, u, v):
+    """Multiplication by z from component (u,v) as whole rows: the scaled
+    source basis reduced against the target's submodule, read at the target
+    basis's pivots."""
+    field = module.field
+    (du, dv), scale = module.vars[z]
+    src = module._component(u, v)[1]
+    sub, basis = module._component(u + du, v + dv)
+    w = src.rows if scale is None else field.scale_columns(src.rows, scale)
+    return field.reduce_rows(w, sub)[:, list(basis.pivots)]
+
+
+@pytest.mark.parametrize("field", [QQ, GFP, PrimeField(101)], ids=lambda f: f.name)
+def test_maps_per_target_match_whole_row_reduction(field):
+    # every matrix built per target component, from the pivot columns alone,
+    # equals the whole-row reduction entry for entry (over QQ the factor L
+    # of the target's submodule is the same in both)
+    for g in _chain_schemes():
+        for reduced in (True, False):
+            module = _KoszulModule(_Spaces(g, field), reduced)
+            nr, nc = g.shape
+            for u in range(nr + 1):
+                for v in range(nc + 1):
+                    for z in range(len(module.vars)):
+                        got, ref = module.mult(z, u, v), _old_mult(module, z, u, v)
+                        assert got.dtype == ref.dtype and got.shape == ref.shape
+                        assert (got == ref).all(), (z, u, v)
 
 
 def test_separating_degree_oracle(two_row):
