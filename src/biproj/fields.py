@@ -55,15 +55,22 @@ elimination runs on int64 residues.  A row operation multiplies by one
 scalar, so a single product of residues is reduced at once.  reduce_rows
 clears many pivots in one matrix product instead: the right factor is split
 into 16-bit halves, which keeps every partial sum of up to 2**15 products
-below 2**63 (PrimeField._mul).  An inner dimension of at most 2**15, the
-oracle's every product, is one such pair of products with no accumulator;
-longer ones are cut into chunks of that size.  rref jumps from a pivot to
-the next column with a nonzero entry at or below the next row and stops
-when none is left, so zero rows and zero columns cost no scan; it clears
-each pivot column with one update of the whole matrix.  rank eliminates
-forward only, with one update of the rows below each pivot.  The matrices
-are small, so these kernels are bound by the number of numpy calls, not by
-arithmetic.
+below 2**63 (PrimeField._product).  An inner dimension of at most 2**15,
+the oracle's every product, is one such pair of products with no
+accumulator; longer ones are cut into chunks of that size.  The product is
+left unreduced below 2**63, and reduce_rows reduces once, after its
+subtraction.  Against an echelon whose pivots cover at least a quarter of
+the columns, reduce_rows computes the free columns alone: the pivot columns
+of its result are zero.  rref jumps from a pivot to the next column with a
+nonzero entry at or below the next row and stops when none is left, so zero
+rows and zero columns cost no scan; it clears each pivot column with one
+update of the whole matrix.  rank eliminates forward only: one nonzero scan
+of the pivot column finds the pivot and the rows below it that hold a
+nonzero there, and only those rows are updated, with no inverse.  The
+matrices are small, so these kernels are bound by the number of numpy
+calls, not by arithmetic; they call ndarray methods and ufuncs directly
+rather than numpy's Python-level wrappers such as np.flatnonzero,
+np.vstack and np.argsort.
 """
 
 from fractions import Fraction
@@ -82,7 +89,7 @@ DEFAULT_PRIME = 2**31 - 1
 # recheck on any disagreement, handled by the callers that compare results).
 RATIONALS_POINT_LIMIT = 30
 
-# Longest inner dimension PrimeField._mul sums in one int64 product.
+# Longest inner dimension PrimeField._product sums in one int64 product.
 _INNER_MAX = 2**15
 
 
@@ -236,9 +243,9 @@ class Rationals:
         old = [_primitive(row, c)
                for row, c in zip(self.reduce_rows(ech.rows, res).tolist(), ech.pivots)]
         pivots = ech.pivots + res.pivots
-        order = np.argsort(pivots, kind="stable")
-        return Echelon(np.vstack([_object_array(old, ech.rows.shape[1]), res.rows])[order],
-                       tuple(pivots[i] for i in order))
+        order = sorted(range(len(pivots)), key=pivots.__getitem__)
+        return Echelon(np.concatenate((_object_array(old, ech.rows.shape[1]), res.rows))[order],
+                       tuple(sorted(pivots)))
 
     def rank(self, A):
         return len(_fraction_free(_int_rows(A), A.shape[1], jordan=False)[0])
@@ -340,22 +347,29 @@ class PrimeField:
     def scale_columns(self, A, scale):
         return A * scale[None, :] % self.p
 
-    def _mul(self, A, B):
-        """A . B mod p, exact in int64, for A and B with entries in [0, p)."""
+    def _product(self, A, B):
+        """An int64 matrix congruent to A . B mod p with every entry in
+        [0, 2**63), for A and B with entries in [0, p): reduced only as far
+        as int64 needs, so a caller can fold the last % p into its own."""
         # B = hi * 2**16 + lo.  (p-1)**2 < 2**63 puts every entry below
         # 2**31.5, so a product with lo (< 2**16) or hi (< 2**15.5) is below
-        # 2**47.5 and a sum of _INNER_MAX = 2**15 of them below 2**62.5;
-        # (hi-sum mod p) * 2**16 adds less than 2**47.5, still below 2**63.
-        # Longer inner dimensions are cut into chunks of _INNER_MAX.
+        # 2**47.5 and a sum of _INNER_MAX = 2**15 of them below 2**62.5.
+        # The hi-sum is reduced below p before the shift, so it adds less
+        # than 2**31.5 * 2**16 = 2**47.5: the sum is below
+        # 2**62.5 + 2**47.5 < 2**63.  Longer inner dimensions are cut into
+        # chunks of _INNER_MAX; the running residue (< p) plus one chunk's
+        # product stays below 2**62.5 + 2**47.5 + 2**31.5 < 2**63.
         p = self.p
         if A.shape[1] <= _INNER_MAX:
-            return ((A @ (B >> 16) % p << 16) + A @ (B & 0xFFFF)) % p
+            return (A @ (B >> 16) % p << 16) + A @ (B & 0xFFFF)
         out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
         for k in range(0, A.shape[1], _INNER_MAX):
-            a, b = A[:, k : k + _INNER_MAX], B[k : k + _INNER_MAX]
-            hi = a @ (b >> 16) % p
-            out = (out + ((hi << 16) + a @ (b & 0xFFFF)) % p) % p
+            out = (out + self._product(A[:, k : k + _INNER_MAX], B[k : k + _INNER_MAX])) % p
         return out
+
+    def _mul(self, A, B):
+        """A . B mod p, exact in int64, for A and B with entries in [0, p)."""
+        return self._product(A, B) % self.p
 
     def rref(self, A):
         """Gauss-Jordan that jumps to the next column with a nonzero entry
@@ -366,19 +380,24 @@ class PrimeField:
         r = c = 0
         pivots = []
         while r < m:
-            live = np.flatnonzero(A[r:, c:].any(axis=0))
-            if live.size == 0:
+            # residues are >= 0, so a column's maximum is nonzero exactly
+            # when one of its entries is
+            live = np.maximum.reduce(A[r:, c:], axis=0).nonzero()[0]
+            if not live.size:
                 break
             c += int(live[0])
-            pivot = r + int(np.flatnonzero(A[r:, c])[0])
+            pivot = r + int(A[r:, c].nonzero()[0][0])
             if pivot != r:
-                A[[r, pivot], :] = A[[pivot, r], :]
-            A[r, :] = A[r, :] * pow(int(A[r, c]), -1, p) % p
+                A[[r, pivot]] = A[[pivot, r]]
+            row = A[r]
+            row *= pow(int(row[c]), -1, p)
+            row %= p
             # one update of the whole matrix clears column c; row r and the
             # rows with a zero there subtract nothing
             f = A[:, c].copy()
             f[r] = 0
-            A = (A - f[:, None] * A[r, None, :]) % p
+            A -= f[:, None] * row
+            A %= p
             pivots.append(c)
             r += 1
             c += 1
@@ -396,12 +415,16 @@ class PrimeField:
             return ech
         old = self.reduce_rows(ech.rows, res)
         pivots = ech.pivots + res.pivots
-        order = np.argsort(pivots, kind="stable")
-        return Echelon(np.vstack([old, res.rows])[order],
-                       tuple(pivots[i] for i in order))
+        order = sorted(range(len(pivots)), key=pivots.__getitem__)
+        return Echelon(np.concatenate((old, res.rows))[order], tuple(sorted(pivots)))
 
     def rank(self, A):
-        """Forward elimination only: each pivot clears the column below it."""
+        """Forward elimination only.  The one nonzero scan of column c below
+        row r finds the pivot and the rows that must subtract it; only those
+        rows are updated, by row_i = a*row_i - b*row_r with a the pivot and
+        b = row_i[c].  That scales row_i by a unit, which keeps the rank and
+        needs no inverse; each product is at most (p-1)**2 < 2**63, so their
+        difference fits in int64."""
         p = self.p
         A = A % p
         m, n = A.shape
@@ -409,31 +432,49 @@ class PrimeField:
         for c in range(n):
             if r == m:
                 break
-            hits = np.flatnonzero(A[r:, c])
-            if hits.size == 0:
+            below = A[r:]
+            hits = below[:, c].nonzero()[0]
+            if not hits.size:
                 continue
             if hits[0]:
-                pivot = r + int(hits[0])
-                A[[r, pivot], c:] = A[[pivot, r], c:]
+                below[[0, hits[0]], c:] = below[[hits[0], 0], c:]
             if hits.size > 1:
-                # every row below takes the update; a zero in column c
-                # subtracts nothing
-                f = A[r + 1 :, c] * pow(int(A[r, c]), -1, p) % p
-                A[r + 1 :, c:] = (A[r + 1 :, c:] - f[:, None] * A[r, None, c:]) % p
+                rows = hits[1:]
+                B = below[rows, c:]
+                below[rows, c:] = (B * below[0, c] - B[:, :1] * below[0, c:]) % p
             r += 1
         return r
 
     def reduce_rows(self, W, ech):
         """Eliminates ech's pivot coordinates from every row of W.
 
-        Returns W - W[:, pivots] . ech.rows (mod p) in one product: ech is
-        fully reduced, so subtracting one basis row leaves W's entries in
-        the other pivot columns as they were.
+        Returns W - W[:, pivots] . ech.rows (mod p) from one unreduced
+        product, reduced once after the subtraction (W's residues are >= 0
+        and the product is below 2**63, so the difference fits in int64).
+        ech is fully reduced, so subtracting one basis row leaves W's
+        entries in the other pivot columns as they were, and every pivot
+        column of the result is zero.
+
+        When the pivots cover at least a quarter of the columns, only the
+        free columns are computed; below that the gathers cost more than
+        the narrower product and remainder save.  On the 6061 reductions of
+        one verify_large_gfp ladder round (sum of per-call minima) this rule
+        took 13% less time than never taking the free columns and 22% less
+        than always; a threshold of three eighths or a half was within 4%.
         """
-        W = W % self.p
+        p = self.p
+        W = W % p
         if not ech.pivots:
             return W
-        return (W - self._mul(W[:, list(ech.pivots)], ech.rows)) % self.p
+        pivots = list(ech.pivots)
+        coef = W[:, pivots]
+        n = W.shape[1]
+        if 4 * len(pivots) < n:
+            return (W - self._product(coef, ech.rows)) % p
+        free = sorted(set(range(n)).difference(pivots))
+        W[:, pivots] = 0
+        W[:, free] = (W[:, free] - self._product(coef, ech.rows[:, free])) % p
+        return W
 
 
 QQ = Rationals()
@@ -449,8 +490,14 @@ def field_by_name(name):
         return QQ
     if name in ("prime", "gfp"):
         return GFP
-    if name.startswith("prime:") or name.startswith("gfp:"):
-        return PrimeField(int(name.split(":", 1)[1]))
+    kind, colon, modulus = name.partition(":")
+    if colon and kind in ("prime", "gfp"):
+        try:
+            p = int(modulus)
+        except ValueError:
+            pass
+        else:
+            return PrimeField(p)
     raise ValueError("unknown field %r" % name)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from biproj.errors import BadField
-from biproj.fields import GFP, QQ, PrimeField, _is_prime, default_field, field_by_name
+from biproj.fields import GFP, QQ, Echelon, PrimeField, _is_prime, default_field, field_by_name
 
 
 FIELDS = [QQ, GFP, PrimeField(101)]
@@ -414,3 +414,146 @@ def test_prime_kernel_edge_shapes(field):
         assert A.tolist() == rows
         ext = field.extend(field.rref(_gf([], n)), A)
         assert ext.pivots == tuple(ref_pivots) and ext.rows.tolist() == ref_rows
+
+
+def test_field_by_name_rejects_bad_modulus():
+    # a modulus that is not an integer is an unknown field, with the message
+    # the CLI prints for any other unknown name
+    for name in ("prime:abc", "prime:", "gfp:101x", "gfp:1.5"):
+        with pytest.raises(ValueError) as info:
+            field_by_name(name)
+        assert str(info.value) == "unknown field %r" % name
+    assert field_by_name("gfp:65537").p == 65537
+    with pytest.raises(BadField):
+        field_by_name("prime:4")  # an integer modulus is still checked
+
+
+def _reduce_rows_reference(wrows, ref_rows, ref_pivots, p):
+    """W with one basis row subtracted at a time, over Python ints."""
+    out = [[x % p for x in w] for w in wrows]
+    for w in out:
+        for l, c in enumerate(ref_pivots):
+            f = w[c]
+            w[:] = [(x - f * y) % p for x, y in zip(w, ref_rows[l])]
+    return out
+
+
+def _echelon_rows(rng, pivots, n, p):
+    """A reduced echelon basis with the given pivot columns: 1 at its pivot,
+    0 left of it and at every other pivot, residues with zeros and p - 1
+    elsewhere."""
+    free = set(range(n)).difference(pivots)
+    rows = []
+    for c in pivots:
+        row = [0] * n
+        row[c] = 1
+        for j in range(c + 1, n):
+            if j in free:
+                row[j] = rng.choice((0, p - 1, rng.randrange(p)))
+        rows.append(row)
+    return rows
+
+
+def test_prime_unreduced_product_at_its_bound():
+    # reduce_rows subtracts a product that is reduced only as far as int64
+    # needs; at an inner dimension of 2**15 with every entry p - 1 for the
+    # largest p it still lies in [0, 2**63) and is congruent to the exact one
+    p = LARGEST_P
+    field = PrimeField(p)
+    A = np.full((2, 2**15), p - 1, dtype=np.int64)
+    B = np.full((2**15, 3), p - 1, dtype=np.int64)
+    prod = field._product(A, B)
+    exact = 2**15 * (p - 1) ** 2
+    assert prod.dtype == np.int64 and (prod >= 0).all()
+    assert (prod % p == exact % p).all()
+    for w in (0, p - 1):
+        assert ((w - prod) % p == (w - exact) % p).all()
+
+    # reduce_rows itself with every entry p - 1, on both sides of the
+    # free-column rule (a 2**15-pivot echelon would take 8 GiB)
+    rng = random.Random(31)
+    for k, n in ((2**9, 2**9 + 3), (2**7, 4 * 2**7 + 5)):
+        pivots = sorted(rng.sample(range(n), k))
+        free = set(range(n)).difference(pivots)
+        ref_rows = [[0] * c + [1] + [p - 1 if j in free else 0 for j in range(c + 1, n)]
+                    for c in pivots]
+        ech = Echelon(_gf(ref_rows, n), tuple(pivots))
+        wrows = [[p - 1] * n, [p - 1 - (j % 2) for j in range(n)]]
+        expected = _reduce_rows_reference(wrows, ref_rows, pivots, p)
+        assert field.reduce_rows(_gf(wrows, n), ech).tolist() == expected
+
+
+@pytest.mark.parametrize("field", [PrimeField(101), GFP], ids=lambda f: f.name)
+def test_prime_reduce_rows_every_pivot_share(field):
+    # reduce_rows computes the free columns alone when the pivots cover at
+    # least a quarter of the columns: no pivots, one short of a quarter, a
+    # quarter, a half and all of them match the row-by-row reference, for
+    # any representative of W
+    p = field.p
+    rng = random.Random(33)
+    for n in (1, 4, 8, 13, 16, 40):
+        shares = {0, max(n // 4 - 1, 0), -(-n // 4), n // 2, n}
+        for k in sorted(shares):
+            pivots = sorted(rng.sample(range(n), k))
+            ref_rows = _echelon_rows(rng, pivots, n, p)
+            ech = field.rref(_gf(ref_rows, n)) if k else field.rref(_gf([], n))
+            assert ech.pivots == tuple(pivots) and ech.rows.tolist() == ref_rows
+            wrows = _random_rows_mod(rng, rng.randint(1, 6), n, p) + ref_rows[:1]
+            W = _gf(wrows, n)
+            for rep in (W, -W, W + p):
+                expected = _reduce_rows_reference(rep.tolist(), ref_rows, pivots, p)
+                before = rep.copy()
+                red = field.reduce_rows(rep, ech)
+                assert red.dtype == np.int64 and red.tolist() == expected, (n, k)
+                assert (rep == before).all()
+
+
+def _block_sparse(rng, p):
+    """A Koszul-like matrix: blocks on a grid of row and column bands, most
+    of them absent, some negated, with zero rows between the nonzero ones;
+    returned as the residues and as the int64 matrix the oracle would pass."""
+    rbands = [rng.randint(0, 8) for _ in range(rng.randint(1, 7))]
+    cbands = [rng.randint(0, 8) for _ in range(rng.randint(1, 7))]
+    m, n = sum(rbands), sum(cbands)
+    res = [[0] * n for _ in range(m)]
+    rep = [[0] * n for _ in range(m)]
+    r0 = 0
+    for h in rbands:
+        c0 = 0
+        for w in cbands:
+            if rng.random() < 0.45:
+                sign = rng.choice((1, -1))
+                for i in range(r0, r0 + h):
+                    if rng.random() < 0.25:
+                        continue  # a zero row inside the block
+                    for j in range(c0, c0 + w):
+                        x = rng.choice((0, 0, 1, p - 1, rng.randrange(p)))
+                        res[i][j], rep[i][j] = sign * x % p, sign * x
+            c0 += w
+        r0 += h
+    if m >= 3 and rng.random() < 0.5:
+        # a combination of two rows further down: a rank deficiency whose
+        # hits in a column are not contiguous
+        a, b, t = rng.randrange(1, p), rng.randrange(p), rng.randrange(2, m)
+        res[t] = [(a * x + b * y) % p for x, y in zip(res[0], res[1])]
+        rep[t] = list(res[t])
+    return res, _gf(rep, n)
+
+
+@pytest.mark.parametrize("field", [PrimeField(101), GFP], ids=lambda f: f.name)
+def test_prime_rank_on_block_sparse_matrices(field):
+    # rank updates only the rows its nonzero scan hit; on matrices shaped
+    # like the direct engine's Koszul differentials it matches the reference
+    p = field.p
+    rng = random.Random(35)
+    fixed = [
+        [[0, 1], [0, 0], [0, 0], [0, 5], [0, 0], [3, 2]],  # hits 0, 3 and 5
+        [[0, 0, 0], [2, 0, 1], [0, 0, 0], [4, 0, 2], [0, 0, 0], [6, 1, 3]],
+    ]
+    # each fixed matrix as its negated representative
+    cases = [([[-x % p for x in row] for row in rows], -_gf(rows, len(rows[0]))) for rows in fixed]
+    cases += [_block_sparse(rng, p) for _ in range(80)]
+    for res, A in cases:
+        before = A.copy()
+        assert field.rank(A) == len(_reference_rref_mod(res, A.shape[1], p)[1])
+        assert (A == before).all()
