@@ -59,9 +59,7 @@ below 2**63 (PrimeField._product).  An inner dimension of at most 2**15,
 the oracle's every product, is one such pair of products with no
 accumulator; longer ones are cut into chunks of that size.  The product is
 left unreduced below 2**63, and reduce_rows reduces once, after its
-subtraction.  Against an echelon whose pivots cover at least a quarter of
-the columns, reduce_rows computes the free columns alone: the pivot columns
-of its result are zero.  rref jumps from a pivot to the next column with a
+subtraction.  rref jumps from a pivot to the next column with a
 nonzero entry at or below the next row and stops when none is left, so zero
 rows and zero columns cost no scan; it clears each pivot column with one
 update of the whole matrix.  rank eliminates forward only: one nonzero scan
@@ -452,29 +450,13 @@ class PrimeField:
         product, reduced once after the subtraction (W's residues are >= 0
         and the product is below 2**63, so the difference fits in int64).
         ech is fully reduced, so subtracting one basis row leaves W's
-        entries in the other pivot columns as they were, and every pivot
-        column of the result is zero.
-
-        When the pivots cover at least a quarter of the columns, only the
-        free columns are computed; below that the gathers cost more than
-        the narrower product and remainder save.  On the 6061 reductions of
-        one verify_large_gfp ladder round (sum of per-call minima) this rule
-        took 13% less time than never taking the free columns and 22% less
-        than always; a threshold of three eighths or a half was within 4%.
+        entries in the other pivot columns as they were.
         """
         p = self.p
         W = W % p
         if not ech.pivots:
             return W
-        pivots = list(ech.pivots)
-        coef = W[:, pivots]
-        n = W.shape[1]
-        if 4 * len(pivots) < n:
-            return (W - self._product(coef, ech.rows)) % p
-        free = sorted(set(range(n)).difference(pivots))
-        W[:, pivots] = 0
-        W[:, free] = (W[:, free] - self._product(coef, ech.rows[:, free])) % p
-        return W
+        return (W - self._product(W[:, list(ech.pivots)], ech.rows)) % p
 
 
 QQ = Rationals()

@@ -72,10 +72,9 @@ def _powers(field, vals, kmax):
 
 class _Spaces:
     """Echelon bases of the value spaces V_(u,v) on the grid's index range
-    u < nr, v < nc.  For u > 0, ech[(u,v)] is ech[(u-1,v)] extended by the
-    rows t^u u^b, b <= v; ech[(0,v)] is ech[(0,v-1)] extended by u^v.  Each
-    is the echelon of all its monomial rows (the field's echelon form is
-    unique).  Every other cell is read through at().
+    u < nr, v < nc.  ech[(u,v)] is ech[(u-1,v)] extended by the rows
+    t^u u^b, b <= v, which is the echelon of all its monomial rows (the
+    field's echelon form is unique).  Every other cell is read through at().
     field=None picks default_field for the grid's number of points."""
 
     def __init__(self, grid, field=None):
@@ -95,8 +94,8 @@ class _Spaces:
         for u in range(nr):
             new = field.scale_columns(upow, tpow[u])  # row b holds t^u u^b
             for v in range(nc):
-                self.ech[(u, v)] = (field.extend(self.ech[(u - 1, v)], new[: v + 1]) if u
-                                    else field.extend(self.at(0, v - 1), new[v : v + 1]))
+                self.ech[(u, v)] = (field.extend(self.ech[(u - 1, v)], new[: v + 1])
+                                    if u else field.rref(new[: v + 1]))
 
     def at(self, u, v):
         """Echelon basis of V_(u,v): empty below 0, clamped into the grid's
@@ -211,7 +210,6 @@ class _KoszulModule:
 
         self.levels = [[(shift(T), faces(T)) for T in level] for level in subsets]
         self._comp = {}
-        self._dims = {}
         self._mult = {}
 
     def _component(self, u, v):
@@ -234,12 +232,7 @@ class _KoszulModule:
         return out
 
     def dim(self, u, v):
-        """Dimension of component (u,v), memoised on its first read."""
-        try:
-            return self._dims[u, v]
-        except KeyError:
-            d = self._dims[u, v] = len(self._component(u, v)[1].pivots)
-            return d
+        return len(self._component(u, v)[1].pivots)
 
     def mult(self, z, u, v):
         """Matrix of multiplication by variable z from component (u,v)."""

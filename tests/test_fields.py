@@ -469,8 +469,8 @@ def test_prime_unreduced_product_at_its_bound():
     for w in (0, p - 1):
         assert ((w - prod) % p == (w - exact) % p).all()
 
-    # reduce_rows itself with every entry p - 1, on both sides of the
-    # free-column rule (a 2**15-pivot echelon would take 8 GiB)
+    # reduce_rows itself with every entry p - 1, against a wide echelon and
+    # a narrow one (a 2**15-pivot echelon would take 8 GiB)
     rng = random.Random(31)
     for k, n in ((2**9, 2**9 + 3), (2**7, 4 * 2**7 + 5)):
         pivots = sorted(rng.sample(range(n), k))
@@ -485,10 +485,9 @@ def test_prime_unreduced_product_at_its_bound():
 
 @pytest.mark.parametrize("field", [PrimeField(101), GFP], ids=lambda f: f.name)
 def test_prime_reduce_rows_every_pivot_share(field):
-    # reduce_rows computes the free columns alone when the pivots cover at
-    # least a quarter of the columns: no pivots, one short of a quarter, a
-    # quarter, a half and all of them match the row-by-row reference, for
-    # any representative of W
+    # against echelons whose pivots cover none, one short of a quarter, a
+    # quarter, a half and all of the columns, reduce_rows matches the
+    # row-by-row reference for any representative of W and leaves W as it was
     p = field.p
     rng = random.Random(33)
     for n in (1, 4, 8, 13, 16, 40):
