@@ -8,24 +8,26 @@ methods, so the oracle code is field-agnostic:
 - scalar(x), vector(vals), array(rows), zeros(m, n): values in the field;
 - convert_params(params): line parameters as scalars, BadField if two meet
   (over the rationals, all times one integer);
-- scale_columns(A, s): A with column c multiplied by s[c];
+- multiply(A, B): the entrywise product, with numpy's broadcasting;
 - rref(A), rank(A): the reduced echelon basis (an Echelon) and the rank;
 - reduce_rows(W, ech): W with ech's pivot coordinates eliminated, up to a
   nonzero factor common to every row of W;
-- extend(ech, new): the rref of ech's rows stacked on new, which is how
-  the oracle grows its chains of value spaces.
+- echelon(rows, pivots): rows that are already reduced and ordered by their
+  pivots, in the field's canonical form.
 
 An echelon is defined up to a nonzero factor per row.  Over a prime field
 every pivot is 1.  Over the rationals each row is its reduced row times the
 lcm of that row's denominators: a primitive integer row with a positive
-pivot.  That form is as unique as the reduced one, so a chain of extends and
-one elimination of the whole stack give the same echelon.  Scaled rows are
-enough because the oracle reads an echelon only through its pivots, the
-zero pattern of its rows, the space they span and coordinates it passes to
-rank; oracle.py's docstring shows that the factors leave every rank as it
-was.
+pivot.  That form is as unique as the reduced one, so an echelon assembled
+from parts and one elimination of all its rows give the same echelon once
+echelon() has made each row primitive; over a prime field echelon() has
+nothing to do, since the oracle's assembled rows already have pivot 1.
+Scaled rows are enough because the oracle reads an echelon only through
+its pivots, the zero pattern of its rows, the space they span and
+coordinates it passes to rank; oracle.py's docstring shows that the
+factors leave every rank as it was.
 
-Over a prime field rref, rank, reduce_rows and extend take any int64
+Over a prime field rref, rank and reduce_rows take any int64
 representative of each residue: they reduce their input mod p on entry, so
 a caller may pass -A for a matrix A with entries in [0, p).
 
@@ -42,13 +44,6 @@ and L the lcm of the c_l: L times the exact reduction.  The factor must be
 the same for every row of W.  Making each row primitive on its own would
 scale one source vector differently in each coordinate matrix it appears
 in, and the Koszul ranks built from those matrices would change.
-
-extend works the same way over both fields: it reduces the new rows against
-the echelon, eliminates only the residual, clears the residual's pivots
-from the old rows and merges the rows by pivot column.  Over the rationals
-the old rows are then made primitive again.  This is faster than
-eliminating the stack again, whose old rows every fraction-free step would
-rescale.
 
 Over a prime field with (p-1)**2 < 2**63 (p = 2**31 - 1 by default) the
 elimination runs on int64 residues.  A row operation multiplies by one
@@ -175,13 +170,19 @@ def _primitive(row, pivot):
     return row if g == 1 else [x // g for x in row]
 
 
+def _primitive_echelon(rows, pivots, ncols):
+    """The Echelon of the first len(pivots) rows, each made primitive."""
+    return Echelon(_object_array([_primitive(row, c) for row, c in zip(rows, pivots)], ncols),
+                   tuple(pivots))
+
+
 class Rationals:
     """Exact arithmetic over Q on Python ints.
 
     scalar keeps exact Fractions; vector and array keep integer values as
-    ints.  rref, extend, rank and reduce_rows eliminate on ints and return
-    ints: echelons in their canonical integer form, reductions times one
-    common factor.
+    ints.  rref, rank and reduce_rows eliminate on ints and return ints:
+    echelons in their canonical integer form, reductions times one common
+    factor.
     """
 
     name = "rationals"
@@ -216,8 +217,8 @@ class Rationals:
         out[:] = [_rational(x) for x in vals]
         return out
 
-    def scale_columns(self, A, scale):
-        return A * scale[None, :]
+    def multiply(self, A, B):
+        return A * B
 
     def rref(self, A):
         """The canonical integer form of the reduced row echelon basis: its
@@ -225,25 +226,7 @@ class Rationals:
         columns."""
         rows = _int_rows(A)
         pivots, _ = _fraction_free(rows, A.shape[1], jordan=True)
-        return Echelon(_object_array([_primitive(rows[i], c) for i, c in enumerate(pivots)],
-                                     A.shape[1]), tuple(pivots))
-
-    def extend(self, ech, new):
-        """The rref of ech.rows stacked on new, for ech already reduced.
-
-        new is reduced against ech and only the residual is eliminated; its
-        pivots are then cleared from ech's rows, which are made primitive
-        again, and the two sets of rows are merged by pivot column.
-        """
-        res = self.rref(self.reduce_rows(new, ech))
-        if not res.pivots:
-            return ech
-        old = [_primitive(row, c)
-               for row, c in zip(self.reduce_rows(ech.rows, res).tolist(), ech.pivots)]
-        pivots = ech.pivots + res.pivots
-        order = sorted(range(len(pivots)), key=pivots.__getitem__)
-        return Echelon(np.concatenate((_object_array(old, ech.rows.shape[1]), res.rows))[order],
-                       tuple(sorted(pivots)))
+        return _primitive_echelon(rows, pivots, A.shape[1])
 
     def rank(self, A):
         return len(_fraction_free(_int_rows(A), A.shape[1], jordan=False)[0])
@@ -273,6 +256,11 @@ class Rationals:
                     acc = [x - f * y for x, y in zip(acc, brow)]
             out.append(acc)
         return _object_array(out, W.shape[1])
+
+    def echelon(self, rows, pivots):
+        """The canonical integer form of reduced rows with the given pivots:
+        each row divided by the gcd of its entries, signed by its pivot."""
+        return _primitive_echelon(rows.tolist(), pivots, rows.shape[1])
 
 
 # Miller-Rabin with the first twelve primes as bases decides primality
@@ -342,8 +330,8 @@ class PrimeField:
     def vector(self, vals):
         return np.array([self.scalar(x) for x in vals], dtype=np.int64)
 
-    def scale_columns(self, A, scale):
-        return A * scale[None, :] % self.p
+    def multiply(self, A, B):
+        return A * B % self.p
 
     def _product(self, A, B):
         """An int64 matrix congruent to A . B mod p with every entry in
@@ -401,21 +389,6 @@ class PrimeField:
             c += 1
         return Echelon(A[:r], tuple(pivots))
 
-    def extend(self, ech, new):
-        """The rref of ech.rows stacked on new, for ech already reduced.
-
-        new is reduced against ech in one product and only the residual is
-        eliminated; its pivots are then cleared from ech's rows and the two
-        sets of rows are merged by pivot column.
-        """
-        res = self.rref(self.reduce_rows(new, ech))
-        if not res.pivots:
-            return ech
-        old = self.reduce_rows(ech.rows, res)
-        pivots = ech.pivots + res.pivots
-        order = sorted(range(len(pivots)), key=pivots.__getitem__)
-        return Echelon(np.concatenate((old, res.rows))[order], tuple(sorted(pivots)))
-
     def rank(self, A):
         """Forward elimination only.  The one nonzero scan of column c below
         row r finds the pivot and the rows that must subtract it; only those
@@ -457,6 +430,11 @@ class PrimeField:
         if not ech.pivots:
             return W
         return (W - self._product(W[:, list(ech.pivots)], ech.rows)) % p
+
+    def echelon(self, rows, pivots):
+        """Reduced rows with the given pivots as an Echelon; the caller's
+        rows already have pivot 1, the canonical form."""
+        return Echelon(rows, tuple(pivots))
 
 
 QQ = Rationals()

@@ -9,8 +9,8 @@ Koszul homology: since x0 is a nonzerodivisor on the coordinate ring, Tor
 can be computed either from the full four-variable complex on the V's
 ("direct" engine) or from the three-variable complex on the quotients
 V_(u,v)/V_(u-1,v) ("reduced" engine, the default — much smaller blocks),
-whose bases are the rows with the pivots V_(u,v) adds to V_(u-1,v) in the
-chain of echelon bases that _Spaces grows along u.
+whose bases are the rows of V_(u,v)'s echelon with the pivots it adds to
+V_(u-1,v)'s (a subspace's pivots are among the space's).
 The matrices of the variables are built per target component: the images
 of every source basis that maps into (u,v) are stacked and reduced once
 against the full echelon of V_(u,v), which checks that none escapes, and
@@ -18,12 +18,29 @@ their quotient coordinates come from one more reduction on the pivot
 columns of V_(u-1,v) and of the component's basis alone.  _KoszulModule
 fixes the layout of the complex (subsets, degree shifts, faces and signs)
 once, so each bidegree only reads it.
-Everything depends on the grid alone.  _Spaces eliminates the grid's own
+Everything depends on the grid alone.  _Spaces builds the grid's own
 index range u < nr, v < nc once and reads every wider cell through the
 clamp V_(u,v) = V_(min(u,nr-1), min(v,nc-1)) (proof in betti_oracle).
 Betti numbers come from the bidegrees up to (nr, nc), which hold them all;
 Hilbert matrices and drop sets are reported on (nr+1, nc+1), the window of
 hilbert_acm.
+
+The value spaces come from the grid's tensor structure (proof in _Spaces).
+On the full grid V_(u,v) is row interpolation in degree u tensored with
+column interpolation in degree v, and its reduced echelon rows are the
+products R_u[a] (x) S_v[b] of the rrefs of the two Vandermonde matrices:
+products of lines, the split curves of the paper.  On the points, a
+product whose pivot cell (a,b) is a point keeps its pivot, and one whose
+pivot is a hole vanishes on the box a' <= u, b' <= v.  Only the latter are
+eliminated, on the points outside the box, and their pivots cleared from
+the former: each cell costs one small hole elimination.  The echelons
+are taken with the lines relabelled by descending point count, so the
+columns are the points in an order of _Spaces' choosing.  No answer
+depends on that order: a permutation of the coordinates maps every
+V_(u,v) onto the value space of the same points in the other order and
+commutes with multiplying by t and u, so it keeps every dimension, every
+unit vector e_P in a space (the drop sets) and every rank of the Koszul
+complex.
 
 Over the rationals the field computes on integers (see fields.py), and
 each value here is an exact one times a nonzero factor that leaves every
@@ -66,44 +83,121 @@ def _powers(field, vals, kmax):
     """Array (kmax+1, N) whose row k holds vals**k."""
     rows = [field.vector([1] * vals.shape[0])]
     for _ in range(kmax):
-        rows.append(field.scale_columns(rows[-1][None, :], vals)[0])
+        rows.append(field.multiply(rows[-1], vals))
     return np.vstack(rows)
+
+
+def _vandermonde_rrefs(field, params, kind):
+    """[R_0, R_1, ...]: R_u is the rref of the Vandermonde rows params**a,
+    a <= u, whose pivots must be 0..u."""
+    powers = _powers(field, field.vector(params), len(params) - 1)
+    out = []
+    for u in range(len(params)):
+        ech = field.rref(powers[: u + 1])
+        if ech.pivots != tuple(range(u + 1)):
+            raise OracleInconsistency("the %s Vandermonde rref of degree %d has pivots %s"
+                                      % (kind, u, list(ech.pivots)))
+        out.append(ech.rows)
+    return out
 
 
 class _Spaces:
     """Echelon bases of the value spaces V_(u,v) on the grid's index range
-    u < nr, v < nc.  ech[(u,v)] is ech[(u-1,v)] extended by the rows
-    t^u u^b, b <= v, which is the echelon of all its monomial rows (the
-    field's echelon form is unique).  Every other cell is read through at().
-    field=None picks default_field for the grid's number of points."""
+    u < nr, v < nc, built from the grid's tensor structure; every other
+    cell is read through at().  field=None picks default_field for the
+    grid's number of points.
+
+    Rows and columns are relabelled by descending point count, ties broken
+    by index, and the points are ordered row-major in the relabelled grid:
+    that is the column order of every echelon, and points[n] is the
+    original position of column n.  R_u is the rref of the row Vandermonde
+    t^a, a <= u, on all nr row parameters; they are distinct, so its pivots
+    are 0..u.  S_v is the same for the columns.  On the full grid the rows
+    R_u[a] (x) S_v[b] are the rref of V_(u,v): row (a,b) is nonzero at cell
+    (a,b), 0 at every other cell of the box a' <= u, b' <= v, and 0 at every
+    cell before (a,b) in row-major order.  On the points:
+    - a kept row, whose pivot (a,b) is a point, keeps that pivot and is 0 on
+      the box's other points;
+    - a hole row, whose pivot is a hole, is 0 on all the box's points.
+    So only the hole rows are eliminated, on the points outside the box.
+    Their pivots lie outside the box, and one reduce_rows clears them from
+    the kept rows.  That leaves each kept row's box entries as they were,
+    and its entries before its pivot 0: a hole pivot before it has
+    coefficient 0 there.  Merged by pivot, the kept and hole rows are
+    reduced, in echelon form and span V_(u,v): they are its rref, which is
+    unique, so it equals the elimination of all its monomial rows in this
+    column order (field.echelon puts each row in the field's canonical
+    form).  An ACM scheme relabelled this way is a staircase, and its hole
+    rows vanish on every point.  Both facts the construction rests on are
+    checked: a Vandermonde rref whose pivots are not 0..u, or a kept row
+    without its pivot, raises OracleInconsistency.
+    """
 
     def __init__(self, grid, field=None):
         require_valid(grid, allow_empty_lines=True)
         self.field = field = field or default_field(grid.npoints)
         self.shape = nr, nc = grid.shape
         self.window = (nr + 1, nc + 1)
-        self.points = grid.points()
+        rcount, ccount = grid.row_counts(), grid.col_counts()
+        rows = sorted(range(nr), key=lambda i: (-rcount[i], i))
+        cols = sorted(range(nc), key=lambda j: (-ccount[j], j))
+        occupied = np.array([[grid.incidence[i][j] for j in cols] for i in rows])
+        pa, pb = occupied.nonzero()
+        self.points = tuple((rows[a], cols[b]) for a, b in zip(pa.tolist(), pb.tolist()))
+        npts = len(self.points)
+        index = np.full((nr, nc), -1)
+        index[pa, pb] = np.arange(npts)
         ts = field.convert_params(grid.row_params)
         us = field.convert_params(grid.col_params)
         self.tvals = field.vector([ts[i] for (i, _) in self.points])
         self.uvals = field.vector([us[j] for (_, j) in self.points])
-        self.empty = Echelon(field.zeros(0, len(self.points)), ())
-        tpow = _powers(field, self.tvals, nr - 1)
-        upow = _powers(field, self.uvals, nc - 1)
+        self.empty = Echelon(field.zeros(0, npts), ())
+        # R_u and S_v valued at the points: column n holds R_u[:, pa[n]]
+        rvals = [r[:, pa] for r in _vandermonde_rrefs(field, [ts[i] for i in rows], "row")]
+        svals = [s[:, pb] for s in _vandermonde_rrefs(field, [us[j] for j in cols], "column")]
         self.ech = {}
+        rout = [pa > u for u in range(nr)]
+        cout = [pb > v for v in range(nc)]
         for u in range(nr):
-            new = field.scale_columns(upow, tpow[u])  # row b holds t^u u^b
             for v in range(nc):
-                self.ech[(u, v)] = (field.extend(self.ech[(u - 1, v)], new[: v + 1])
-                                    if u else field.rref(new[: v + 1]))
+                box = index[: u + 1, : v + 1]
+                kept = box[box >= 0]
+                pivots = kept.tolist()
+                ech = field.multiply(rvals[u][pa[kept]], svals[v][pb[kept]])
+                ha, hb = (box < 0).nonzero()
+                outside = (rout[u] | cout[v]).nonzero()[0]
+                hole = self.empty
+                if ha.size and outside.size:
+                    hole = field.rref(field.multiply(rvals[u][ha][:, outside],
+                                                     svals[v][hb][:, outside]))
+                    hrows = field.zeros(len(hole.pivots), npts)
+                    hrows[:, outside] = hole.rows
+                    hole = Echelon(hrows, tuple(outside[list(hole.pivots)].tolist()))
+                    # only the kept rows with an entry at a hole pivot change
+                    hit = (ech[:, list(hole.pivots)] != 0).any(axis=1).nonzero()[0]
+                    if hit.size:
+                        ech[hit] = field.reduce_rows(ech[hit], hole)
+                if not ech[np.arange(len(kept)), kept].all():
+                    raise OracleInconsistency("a kept row of V_(%d,%d) lost its pivot" % (u, v))
+                if hole.pivots:
+                    merged = pivots + list(hole.pivots)
+                    order = sorted(range(len(merged)), key=merged.__getitem__)
+                    ech = np.concatenate((ech, hole.rows))[order]
+                    pivots = [merged[l] for l in order]
+                self.ech[(u, v)] = field.echelon(ech, pivots)
+
+    def cell(self, u, v):
+        """The cell of the grid's index range that V_(u,v) is read from, for
+        u, v >= 0: the clamp."""
+        nr, nc = self.shape
+        return (min(u, nr - 1), min(v, nc - 1))
 
     def at(self, u, v):
         """Echelon basis of V_(u,v): empty below 0, clamped into the grid's
         index range above it."""
         if u < 0 or v < 0:
             return self.empty
-        nr, nc = self.shape
-        return self.ech[(min(u, nr - 1), min(v, nc - 1))]
+        return self.ech[self.cell(u, v)]
 
     def dim(self, u, v):
         return len(self.at(u, v).pivots)
@@ -158,17 +252,21 @@ def drop_sets(grid, field=None):
 
     Deleting point P's coordinate loses a dimension exactly when the unit
     vector e_P lies in V_(i,j); in a fully reduced echelon basis that means
-    P is a pivot column whose basis row is e_P itself.
+    P is a pivot column whose basis row is e_P itself.  Each echelon of the
+    grid's index range is scanned once, and every cell of the window reads
+    the one the clamp maps it to.
     """
     spaces = _Spaces(grid, field)
+    units = {}
+    for key, ech in spaces.ech.items():
+        unit = ((ech.rows != 0).sum(axis=1) == 1).nonzero()[0]
+        units[key] = [spaces.points[ech.pivots[l]] for l in unit.tolist()]
     drops = {pos: set() for pos in spaces.points}
     wi, wj = spaces.window
     for u in range(wi + 1):
         for v in range(wj + 1):
-            ech = spaces.at(u, v)
-            unit = np.nonzero((ech.rows != 0).sum(axis=1) == 1)[0]
-            for l in unit:
-                drops[spaces.points[ech.pivots[int(l)]]].add((u, v))
+            for pos in units[spaces.cell(u, v)]:
+                drops[pos].add((u, v))
     return drops
 
 
@@ -258,7 +356,7 @@ class _KoszulModule:
         for z, ((du, dv), scale) in enumerate(self.vars):
             src = self._component(u - du, v - dv)[1]
             keys.append(((z, u - du, v - dv), len(src.pivots)))
-            images.append(src.rows if scale is None else field.scale_columns(src.rows, scale))
+            images.append(src.rows if scale is None else field.multiply(src.rows, scale))
         w = np.concatenate(images)
         if field.reduce_rows(w, self.spaces.at(u, v)).any():
             raise OracleInconsistency("image escapes the target component")

@@ -92,13 +92,25 @@ def test_fields_expose_the_same_ten_methods():
 
     assert methods(QQ) == methods(GFP) == {
         "scalar", "vector", "array", "zeros", "convert_params",
-        "scale_columns", "rref", "rank", "reduce_rows", "extend"}
+        "multiply", "rref", "rank", "reduce_rows", "echelon"}
+
+
+@pytest.mark.parametrize("field", [QQ, GFP, PrimeField(101)], ids=lambda f: f.name)
+def test_multiply_is_entrywise_with_broadcasting(field):
+    rng = np.random.default_rng(31)
+    A = rng.integers(0, 100, (3, 4))
+    B = rng.integers(0, 100, (3, 4))
+    mod = (lambda x: x % field.p) if field.p else (lambda x: x)
+    rows = field.array(A.tolist())
+    for other, ref in ((field.array(B.tolist()), A * B), (field.vector(B[0].tolist()), A * B[0])):
+        out = field.multiply(rows, other)
+        assert out.dtype == rows.dtype and out.tolist() == mod(ref).tolist()
 
 
 @pytest.mark.parametrize("field", [GFP, PrimeField(101)], ids=lambda f: f.name)
 def test_prime_elimination_takes_any_representative(field):
     # the Koszul differentials carry negated blocks -A, A in [0, p): rref,
-    # rank, reduce_rows and extend read any integer matrix as its residues,
+    # rank and reduce_rows read any integer matrix as its residues,
     # including entries +-p that stand for 0
     p = field.p
     rng = np.random.default_rng(29)
@@ -113,8 +125,6 @@ def test_prime_elimination_takes_any_representative(field):
             assert ech.pivots == ref.pivots and (ech.rows == ref.rows).all()
             assert field.rank(rep) == field.rank(rep % p) == len(ref.pivots) < m
             assert (field.reduce_rows(rep, ref) == field.reduce_rows(rep % p, ref)).all()
-            ext = field.extend(field.rref(A[:1]), rep)
-            assert ext.pivots == field.rref(np.vstack([A[:1], rep % p])).pivots
             assert (rep == before).all()  # inputs are left as they were
         assert ((rep % p == 0) & (rep != 0)).any()  # some +-p stands for 0
 
@@ -228,12 +238,13 @@ def test_rationals_kernel_matches_reference():
         assert red.shape == W.shape
         assert _cells(red) == [[L * x for x in w] for w in expected]
 
-        ext_rows, ext_pivots = _reference_rref(rows + wrows, n)
-        ext = QQ.extend(ech, W)
-        assert ext.pivots == tuple(ext_pivots)
-        assert ext.rows.shape == (len(ext_rows), n)
-        assert _cells(ext.rows) == [_canonical(row) for row in ext_rows]
-        assert all(type(x) is int for x in ext.rows.flat)
+        # echelon makes reduced integer rows, scaled by any nonzero
+        # factors (here -2, 3, -4, ...), primitive with a positive pivot again
+        scaled = [[(-1) ** (l + 1) * (l + 2) * x for x in _canonical(row)]
+                  for l, row in enumerate(ref_rows)]
+        canon = QQ.echelon(_qq(scaled, n), ref_pivots)
+        assert canon.pivots == ech.pivots and _cells(canon.rows) == _cells(ech.rows)
+        assert all(type(x) is int for x in canon.rows.flat)
 
 
 def test_rationals_reduce_rows_scales_all_rows_alike():
@@ -348,13 +359,9 @@ def test_prime_kernel_matches_reference(field):
         red = field.reduce_rows(_gf(wrows, n), ech)
         assert red.dtype == np.int64 and red.tolist() == expected
 
-        # extend by a few rows, some of them already in the span
-        new = _random_rows_mod(rng, rng.randint(0, 4), n, p) + rows[1:2]
-        ext_rows, ext_pivots = _reference_rref_mod(rows + new, n, p)
-        ext = field.extend(ech, _gf(new, n))
-        assert ext.pivots == tuple(ext_pivots)
-        assert ext.rows.dtype == np.int64 and ext.rows.shape == (len(ext_rows), n)
-        assert ext.rows.tolist() == ext_rows
+        # rows with pivot 1 are already in the canonical form
+        canon = field.echelon(ech.rows, list(ech.pivots))
+        assert canon.pivots == ech.pivots and canon.rows.tolist() == ref_rows
 
 
 @pytest.mark.parametrize("p", [101, 2**31 - 1, LARGEST_P])
@@ -412,8 +419,6 @@ def test_prime_kernel_edge_shapes(field):
         assert ech.rows.tolist() == ref_rows
         assert field.rank(A) == len(ref_pivots)
         assert A.tolist() == rows
-        ext = field.extend(field.rref(_gf([], n)), A)
-        assert ext.pivots == tuple(ref_pivots) and ext.rows.tolist() == ref_rows
 
 
 def test_field_by_name_rejects_bad_modulus():

@@ -225,6 +225,39 @@ def test_koszul_checks_survive_python_O():
     assert proc.stdout == expected * 2, proc.stderr
 
 
+def test_value_space_checks_survive_python_O():
+    # a Vandermonde rref without its first pivot, and a hole reduction that
+    # wipes the kept rows it touches, must be reported with asserts
+    # compiled away, over GF(p) and over QQ
+    code = "\n".join([
+        "import sys",
+        "from biproj import OracleInconsistency, PointGrid, PrimeField, Rationals",
+        "from biproj import oracle",
+        "from biproj.fields import Echelon",
+        "grid = PointGrid.from_points(3, 3, [(0, 0), (0, 1), (1, 0), (2, 2)])",
+        "for cls in (PrimeField, Rationals):",
+        "    rref, reduce_rows = cls.rref, cls.reduce_rows",
+        "    cls.rref = lambda self, A: Echelon(*(r[1:] for r in rref(self, A)))",
+        "    try:",
+        "        oracle._Spaces(grid, cls())",
+        "    except OracleInconsistency as e:",
+        "        print(sys.flags.optimize, e)",
+        "    cls.rref = rref",
+        "    cls.reduce_rows = lambda self, W, ech: W * 0",
+        "    try:",
+        "        oracle._Spaces(grid, cls())",
+        "    except OracleInconsistency as e:",
+        "        print(sys.flags.optimize, e)",
+        "    cls.reduce_rows = reduce_rows",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(biproj.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    expected = ("1 the row Vandermonde rref of degree 0 has pivots []\n"
+                "1 a kept row of V_(1,1) lost its pivot\n")
+    assert proc.stdout == expected * 2, proc.stderr
+
+
 def _chain_schemes():
     """Seeded schemes: ACM, punctured and non-ACM, each also with its lines
     shuffled and given non-integer parameters."""
@@ -286,13 +319,14 @@ def _assert_same_echelon(ech, ref):
 @pytest.mark.parametrize("field", [QQ, GFP, PrimeField(101)], ids=lambda f: f.name)
 def test_value_space_chain_matches_full_elimination(field):
     # references: each V_(u,v) up to (nr+1, nc+1) eliminated from all its
-    # monomial rows, valued with Fractions, so the clamp past the grid's
-    # index range meets an unclamped elimination; each quotient basis
-    # rebuilt by reduce_rows + rref
+    # monomial rows, valued with Fractions at the points in the spaces'
+    # column order, so the clamp past the grid's index range meets an
+    # unclamped elimination; each quotient basis rebuilt by reduce_rows + rref
     for g in _chain_schemes():
         spaces = _Spaces(g, field)
         module = _KoszulModule(spaces, reduced=True)
-        pts, (nr, nc) = g.points(), g.shape
+        pts, (nr, nc) = spaces.points, g.shape
+        assert sorted(pts) == sorted(g.points())
         assert set(spaces.ech) == {(u, v) for u in range(nr) for v in range(nc)}
         for u in range(nr + 2):
             for v in range(nc + 2):
@@ -304,6 +338,60 @@ def test_value_space_chain_matches_full_elimination(field):
                                      field.rref(field.reduce_rows(ech.rows, spaces.at(u - 1, v))))
 
 
+def _drop_sets_per_cell(grid, field):
+    """drop_sets as one scan of the unit rows of spaces.at(u, v) per cell of
+    the window (nr+2) x (nc+2)."""
+    spaces = _Spaces(grid, field)
+    drops = {pos: set() for pos in spaces.points}
+    wi, wj = spaces.window
+    for u in range(wi + 1):
+        for v in range(wj + 1):
+            ech = spaces.at(u, v)
+            for l in np.nonzero((ech.rows != 0).sum(axis=1) == 1)[0]:
+                drops[spaces.points[ech.pivots[int(l)]]].add((u, v))
+    return drops
+
+
+@pytest.mark.parametrize("field", [QQ, GFP], ids=lambda f: f.name)
+def test_drop_sets_match_per_cell_scan(field):
+    for g in _chain_schemes() + _rational_corpus():
+        assert drop_sets(g, field) == _drop_sets_per_cell(g, field)
+
+
+def _permuted(grid, rperm, cperm):
+    """The same scheme with line i listed as rperm[i] and column j as
+    cperm[j], each line keeping its parameter."""
+    nr, nc = grid.shape
+    rows, cols = [None] * nr, [None] * nc
+    for i, t in enumerate(grid.row_params):
+        rows[rperm[i]] = t
+    for j, u in enumerate(grid.col_params):
+        cols[cperm[j]] = u
+    return PointGrid.from_points(nr, nc, [(rperm[i], cperm[j]) for i, j in grid.points()],
+                                 row_params=rows, col_params=cols)
+
+
+@pytest.mark.parametrize("field", [QQ, GFP], ids=lambda f: f.name)
+def test_answers_do_not_depend_on_line_order(field):
+    # _Spaces relabels the lines by point count: listing them in another
+    # order changes no Hilbert matrix, drop set (up to the relabelling) or
+    # Betti table of either engine.  The direct engine over QQ runs on the
+    # schemes of at most 8 points.
+    rng = np.random.default_rng(20261020)
+    for g in _chain_schemes() + _rational_corpus()[:12]:
+        nr, nc = g.shape
+        rperm, cperm = rng.permutation(nr).tolist(), rng.permutation(nc).tolist()
+        h = _permuted(g, rperm, cperm)
+        assert hilbert_oracle(h, field) == hilbert_oracle(g, field)
+        assert drop_sets(h, field) == {(rperm[i], cperm[j]): cells
+                                       for (i, j), cells in drop_sets(g, field).items()}
+        for engine in ("reduced", "direct"):
+            if engine == "direct" and field is QQ and g.npoints > 8:
+                continue
+            assert betti_oracle(h, field, engine).counters() == \
+                betti_oracle(g, field, engine).counters()
+
+
 def _old_mult(module, z, u, v):
     """Multiplication by z from component (u,v) as whole rows: the scaled
     source basis reduced against the target's submodule, read at the target
@@ -312,7 +400,7 @@ def _old_mult(module, z, u, v):
     (du, dv), scale = module.vars[z]
     src = module._component(u, v)[1]
     sub, basis = module._component(u + du, v + dv)
-    w = src.rows if scale is None else field.scale_columns(src.rows, scale)
+    w = src.rows if scale is None else field.multiply(src.rows, scale)
     return field.reduce_rows(w, sub)[:, list(basis.pivots)]
 
 
