@@ -18,6 +18,14 @@ their quotient coordinates come from one more reduction on the pivot
 columns of V_(u-1,v) and of the component's basis alone.  _KoszulModule
 fixes the layout of the complex (subsets, degree shifts, faces and signs)
 once, so each bidegree only reads it.
+Rows i >= 1 of the reduced engine need fewer ranks (proof in
+betti_oracle).  V_(i,j) = V_(i-1,j) + t V_(i-1,j), so x1 maps N'_(i-1,.)
+onto N'_(i,.).  Row i of the Koszul complex is the cone of that surjective
+chain map, and such a cone is quasi-isomorphic to the kernel shifted by
+one: its homology is that of W_i = ker x1 on y0, y1, with
+dim W_i(j) = dim N'_(i-1,j) - dim N'_(i,j).  One rank per component checks
+that x1 is onto; where W_i(j-1) = 0 every Tor is read from these
+dimensions, and elsewhere d2 and d3 are ranked.
 Everything depends on the grid alone.  _Spaces builds the grid's own
 index range u < nr, v < nc once and reads every wider cell through the
 clamp V_(u,v) = V_(min(u,nr-1), min(v,nc-1)) (proof in betti_oracle).
@@ -89,16 +97,16 @@ def _powers(field, vals, kmax):
 
 def _vandermonde_rrefs(field, params, kind):
     """[R_0, R_1, ...]: R_u is the rref of the Vandermonde rows params**a,
-    a <= u, whose pivots must be 0..u."""
+    a <= u, whose pivots must be 0..u.  R_0 is the rref of the constant row;
+    one pass of field.extensions adds the powers after it a row at a time."""
     powers = _powers(field, field.vector(params), len(params) - 1)
-    out = []
-    for u in range(len(params)):
-        ech = field.rref(powers[: u + 1])
+    first = field.rref(powers[:1])
+    out = [first] + field.extensions(first, powers[1:])
+    for u, ech in enumerate(out):
         if ech.pivots != tuple(range(u + 1)):
             raise OracleInconsistency("the %s Vandermonde rref of degree %d has pivots %s"
                                       % (kind, u, list(ech.pivots)))
-        out.append(ech.rows)
-    return out
+    return [ech.rows for ech in out]
 
 
 class _Spaces:
@@ -373,36 +381,73 @@ class _KoszulModule:
             start += n
 
 
-def _homology_at(module, i, j):
-    """Dimensions (H_0, ..., H_n) of the Koszul complex in bidegree (i,j)."""
+def _rank_of_d(module, i, j, k, dims):
+    """Rank of d_k: C_k -> C_(k-1) of the Koszul complex in bidegree (i,j),
+    with dims[k][t] the dimension of the t-th block of C_k."""
     field = module.field
     levels = module.levels
-    dims = [[module.dim(i - a, j - b) for (a, b), _ in level] for level in levels]
-    kdim = [sum(d) for d in dims]
-    ranks = [0] * (len(levels) + 1)
-    for k in range(1, len(levels)):
-        if kdim[k] == 0 or kdim[k - 1] == 0:
+    if not sum(dims[k]) or not sum(dims[k - 1]):
+        return 0
+    # where each block starts in C_k (rows of d_k) and C_(k-1) (columns)
+    rofs = list(accumulate(dims[k], initial=0))
+    cofs = list(accumulate(dims[k - 1], initial=0))
+    mat = field.zeros(rofs[-1], cofs[-1])
+    for t, ((a, b), faces) in enumerate(levels[k]):
+        if dims[k][t] == 0:
             continue
-        # where each block starts in C_k (rows of d_k) and C_(k-1) (columns)
-        rofs = list(accumulate(dims[k], initial=0))
-        cofs = list(accumulate(dims[k - 1], initial=0))
-        mat = field.zeros(kdim[k], kdim[k - 1])
-        for t, ((a, b), faces) in enumerate(levels[k]):
-            if dims[k][t] == 0:
+        r0, r1 = rofs[t], rofs[t + 1]
+        for z, f, odd in faces:
+            if dims[k - 1][f] == 0:
                 continue
-            r0, r1 = rofs[t], rofs[t + 1]
-            for z, f, odd in faces:
-                if dims[k - 1][f] == 0:
-                    continue
-                block = module.mult(z, i - a, j - b)
-                # field.rank reduces any representative of -block
-                mat[r0:r1, cofs[f] : cofs[f + 1]] = -block if odd else block
-        ranks[k] = field.rank(mat)
+            block = module.mult(z, i - a, j - b)
+            # field.rank reduces any representative of -block
+            mat[r0:r1, cofs[f] : cofs[f + 1]] = -block if odd else block
+    return field.rank(mat)
+
+
+def _block_dims(module, i, j):
+    """dims[k][t]: the dimension of the t-th block of C_k in bidegree (i,j)."""
+    return [[module.dim(i - a, j - b) for (a, b), _ in level] for level in module.levels]
+
+
+def _homology_at(module, i, j):
+    """Dimensions (H_0, ..., H_n) of the Koszul complex in bidegree (i,j)."""
+    levels = module.levels
+    dims = _block_dims(module, i, j)
+    kdim = [sum(d) for d in dims]
+    ranks = [0] + [_rank_of_d(module, i, j, k, dims) for k in range(1, len(levels))] + [0]
     h = [kdim[k] - ranks[k] - ranks[k + 1] for k in range(len(levels))]
     # Tor_0(S/I, k) is k in degree (0,0): a strong internal consistency check
     if h[0] != (1 if (i, j) == (0, 0) else 0):
         raise OracleInconsistency("Tor_0 is %d in degree (%d,%d)" % (h[0], i, j))
     return h
+
+
+def _cone_homology_row(module, i, jmax):
+    """Dimensions (H_0, ..., H_3) of the reduced engine's Koszul complex in
+    the bidegrees (i, 0..jmax) of a row i >= 1, one list per j.
+
+    Checks at each (i,j) that x1 maps N'_(i-1,j) onto N'_(i,j), which
+    gives H_0 = 0.  Homology lives on W_i = ker x1 (see betti_oracle):
+    H_k = H_(k-1) of W_i(j-2) -> W_i(j-1)^2 -> W_i(j), with
+    dim W_i(b) = dim N'_(i-1,b) - dim N'_(i,b).  Where W_i(j-1) = 0 both
+    maps vanish and no rank is taken; elsewhere d2 and d3 are ranked, and
+    rank d1 = dim N'_(i,j).
+    """
+    w = []
+    for j in range(jmax + 1):
+        d = module.dim(i, j)
+        if d and module.field.rank(module.mult(0, i - 1, j)) != d:
+            raise OracleInconsistency("x1 does not map N'_(%d,%d) onto N'_(%d,%d)"
+                                      % (i - 1, j, i, j))
+        w.append(module.dim(i - 1, j) - d)
+        if j == 0 or not w[j - 1]:
+            yield [0, w[j], 0, w[j - 2] if j >= 2 else 0]
+            continue
+        dims = _block_dims(module, i, j)
+        kdim = [sum(dk) for dk in dims]
+        r2, r3 = _rank_of_d(module, i, j, 2, dims), _rank_of_d(module, i, j, 3, dims)
+        yield [0, kdim[1] - d - r2, kdim[2] - r2 - r3, kdim[3] - r3]
 
 
 def betti_oracle(grid, field=None, engine="reduced"):
@@ -416,17 +461,37 @@ def betti_oracle(grid, field=None, engine="reduced"):
     (i,j) its terms lie in N'_(i,.) and N'_(i-1,.), and every Tor_k
     vanishes for i > nr.  Reducing by y0 gives j > nc the same way, and
     V_(u,v) = V_(u,nc-1) for v >= nc-1: the clamp _Spaces.at reads through.
+
+    The reduced engine reads rows i >= 1 off ker x1.  V_(i,j) is
+    V_(i-1,j) + t V_(i-1,j), so multiplication by x1 maps N'_(i-1,.) onto
+    N'_(i,.), a surjection of k[y0,y1]-modules; its kernel W_i has
+    dim W_i(j) = dim N'_(i-1,j) - dim N'_(i,j).  In row i the Koszul
+    complex on x1, y0, y1 is the cone of x1 from the Koszul complex on
+    y0, y1 of N'_(i-1,.) to that of N'_(i,.), and the cone of a surjective
+    chain map is quasi-isomorphic to its kernel shifted by one: the Koszul
+    complex K of W_i on y0, y1, W_i(j-2) -> W_i(j-1)^2 -> W_i(j), has
+    Tor_k(i,j) = H_(k-1)(K) and Tor_0(i,j) = 0.  Where W_i(j-1) = 0 both
+    maps of K vanish: Tor_1 = dim W_i(j), Tor_2 = 0, Tor_3 = dim W_i(j-2).
+    _cone_homology_row checks that x1 is onto at each (i,j) (a rank per
+    component, in place of the rank of d1) and ranks d2 and d3 elsewhere.
+    Row 0 and the direct engine take every rank (_homology_at).  Either
+    way every map is built, so every escape check of _maps_into runs.
     """
     if engine not in ("reduced", "direct"):
         raise ValueError("unknown engine %r" % engine)
     spaces = _Spaces(grid, field)
     module = _KoszulModule(spaces, reduced=(engine == "reduced"))
-    # counters[k]: dim Tor_k by bidegree; _homology_at checks Tor_0
+    # counters[k]: dim Tor_k by bidegree; _homology_at checks Tor_0, and
+    # _cone_homology_row the surjection of x1 that makes it 0
     counters = [Counter() for _ in range(len(module.vars) + 1)]
     nr, nc = spaces.shape
     for i in range(nr + 1):
-        for j in range(nc + 1):
-            for k, h in enumerate(_homology_at(module, i, j)):
+        if i and module.reduced:
+            row = _cone_homology_row(module, i, nc)
+        else:
+            row = (_homology_at(module, i, j) for j in range(nc + 1))
+        for j, hs in enumerate(row):
+            for k, h in enumerate(hs):
                 if h:
                     counters[k][(i, j)] = h
     table = BettiTable.make(counters[1], counters[2], counters[3])

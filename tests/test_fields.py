@@ -86,13 +86,35 @@ def test_random_rank_agreement(field):
         assert field.rank(field.array(A.tolist())) == expected
 
 
-def test_fields_expose_the_same_ten_methods():
+def test_fields_expose_the_same_eleven_methods():
     def methods(field):
         return {n for n in dir(field) if not n.startswith("_") and callable(getattr(field, n))}
 
     assert methods(QQ) == methods(GFP) == {
         "scalar", "vector", "array", "zeros", "convert_params",
-        "multiply", "rref", "rank", "reduce_rows", "echelon"}
+        "multiply", "rref", "extensions", "rank", "reduce_rows", "echelon"}
+
+
+@pytest.mark.parametrize("field", [QQ, GFP, PrimeField(101)], ids=lambda f: f.name)
+def test_extensions_match_rref_of_every_prefix(field):
+    # each echelon of the one pass is the rref of its rows in the field's
+    # canonical form, from an empty or a nonempty echelon, with rows that
+    # add no pivot or a pivot before the ones already there
+    rng = np.random.default_rng(37)
+    for m, n in [(1, 4), (4, 4), (6, 5), (7, 9), (9, 6)]:
+        A = rng.integers(-5, 6, (m, n))
+        A[rng.random(m) < 0.3, 0] = 0
+        A[m // 2] = 3 * A[0] - A[m - 1]
+        A = field.array(A.tolist())
+        before = A.copy()
+        for start in (0, 2):
+            ech = field.rref(A[:start]) if start else field.rref(field.zeros(0, n))
+            for k, got in enumerate(field.extensions(ech, A[start:]), start + 1):
+                ref = field.rref(A[:k])
+                assert got.pivots == ref.pivots
+                assert got.rows.dtype == ref.rows.dtype and got.rows.shape == ref.rows.shape
+                assert (got.rows == ref.rows).all(), (m, n, start, k)
+        assert (A == before).all()
 
 
 @pytest.mark.parametrize("field", [QQ, GFP, PrimeField(101)], ids=lambda f: f.name)

@@ -310,6 +310,103 @@ def test_proven_window_matches_wider_window(field):
             assert not wide.get(4)
 
 
+_EMPTY_LINES = PointGrid.from_points(
+    5, 4, [(0, 0), (0, 1), (0, 3), (1, 1), (1, 3), (3, 0), (3, 3), (4, 1)],
+    row_params=(3, Fraction(-1, 3), 2, 5, 0), col_params=(1, 0, 9, Fraction(7, 2)))
+
+
+def _full_sweep(grid, field):
+    """(Tor_1, Tor_2, Tor_3) of the reduced engine from _homology_at on
+    every bidegree up to (nr, nc): every rank taken, Tor_0 checked."""
+    module = _KoszulModule(_Spaces(grid, field))
+    tors = [Counter() for _ in range(len(module.vars) + 1)]
+    nr, nc = grid.shape
+    for i in range(nr + 1):
+        for j in range(nc + 1):
+            for k, d in enumerate(oracle._homology_at(module, i, j)):
+                if d:
+                    tors[k][(i, j)] = d
+    assert tors[0] == Counter({(0, 0): 1})
+    return tuple(tors[1:])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:  # the same exception type and message on both sides
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("field", [QQ, GFP, PrimeField(101)], ids=lambda f: f.name)
+def test_reduced_engine_matches_full_sweep(field):
+    # rows i >= 1 read off ker x1 give the same Betti numbers as every rank
+    # of the reduced Koszul complex; GF(101) meets parameter collisions,
+    # where both sides raise the same BadField
+    from test_formats_cli import non_acm_corpus
+
+    from biproj.formats import parse_configuration
+
+    grids = [parse_configuration(c) for c in non_acm_corpus(24)]
+    grids += _rational_corpus() + _chain_schemes() + [_EMPTY_LINES]
+    raised = 0
+    for g in grids:
+        want = _outcome(_full_sweep, g, field)
+        got = _outcome(lambda: betti_oracle(g, field).counters())
+        assert got == want, g
+        raised += isinstance(want[0], str)
+    assert raised == (2 if field.p == 101 else 0)
+
+
+def test_x1_onto_check_survives_python_O():
+    # one x1 block made rank-deficient must be reported with asserts
+    # compiled away, over GF(p) and over QQ
+    code = "\n".join([
+        "import sys",
+        "from biproj import OracleInconsistency, PrimeField, Rationals, betti_oracle, staircase",
+        "from biproj import oracle",
+        "mult = oracle._KoszulModule.mult",
+        "def deficient(self, z, u, v):",
+        "    block = mult(self, z, u, v)",
+        "    if (z, u, v) == (0, 1, 1):",
+        "        block = block.copy()",
+        "        block[-1] = 0",
+        "    return block",
+        "oracle._KoszulModule.mult = deficient",
+        "for field in (PrimeField(), Rationals()):",
+        "    try:",
+        "        betti_oracle(staircase((3, 3, 2)), field)",
+        "    except OracleInconsistency as e:",
+        "        print(sys.flags.optimize, e)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(biproj.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "1 x1 does not map N'_(1,1) onto N'_(2,1)\n" * 2, proc.stderr
+
+
+@pytest.mark.parametrize("field", [QQ, GFP], ids=lambda f: f.name)
+def test_escape_checks_cover_every_component(field, monkeypatch):
+    # betti_oracle builds the maps into every nonzero component (u,v) other
+    # than (0,0) with u <= nr and v <= nc, each once: the ranks it skips
+    # drop no escape check of _maps_into
+    targets = []
+    maps_into = _KoszulModule._maps_into
+
+    def recording(self, u, v):
+        targets.append((u, v))
+        return maps_into(self, u, v)
+
+    monkeypatch.setattr(_KoszulModule, "_maps_into", recording)
+    for g in _chain_schemes() + _rational_corpus()[:12] + [_EMPTY_LINES]:
+        targets.clear()
+        betti_oracle(g, field)
+        module = _KoszulModule(_Spaces(g, field))
+        nr, nc = g.shape
+        nonzero = [(u, v) for u in range(nr + 1) for v in range(nc + 1)
+                   if (u, v) != (0, 0) and module.dim(u, v)]
+        assert sorted(targets) == nonzero
+
+
 def _assert_same_echelon(ech, ref):
     assert ech.pivots == ref.pivots
     assert ech.rows.dtype == ref.rows.dtype and ech.rows.shape == ref.rows.shape
