@@ -2,7 +2,7 @@
 
 Matrices are numpy arrays throughout: dtype=object holding Python ints for
 the rationals (Fractions only where a caller passes a non-integer value),
-dtype=int64 for a prime field.  Both field classes expose the same eleven
+dtype=int64 for a prime field.  Both field classes expose the same ten
 methods, so the oracle code is field-agnostic:
 
 - scalar(x), vector(vals), array(rows), zeros(m, n): values in the field;
@@ -10,8 +10,6 @@ methods, so the oracle code is field-agnostic:
   (over the rationals, all times one integer);
 - multiply(A, B): the entrywise product, with numpy's broadcasting;
 - rref(A), rank(A): the reduced echelon basis (an Echelon) and the rank;
-- extensions(ech, rows): the echelons of ech stacked on rows[:1], rows[:2],
-  ..., all of rows, from one pass that adds a row at a time;
 - reduce_rows(W, ech): W with ech's pivot coordinates eliminated, up to a
   nonzero factor common to every row of W;
 - echelon(rows, pivots): rows that are already reduced and ordered by their
@@ -22,12 +20,11 @@ every pivot is 1.  Over the rationals each row is its reduced row times the
 lcm of that row's denominators: a primitive integer row with a positive
 pivot.  That form is as unique as the reduced one, so an echelon assembled
 from parts and one elimination of all its rows give the same echelon once
-echelon() has made each row primitive; over a prime field echelon() has
-nothing to do, since the oracle's assembled rows already have pivot 1.
-Scaled rows are enough because the oracle reads an echelon only through
-its pivots, the zero pattern of its rows, the space they span and
-coordinates it passes to rank; oracle.py's docstring shows that the
-factors leave every rank as it was.
+echelon() has made each row primitive; over a prime field echelon() scales
+each row to pivot 1.  Scaled rows are enough because the oracle reads an
+echelon only through its pivots, the zero pattern of its rows, the space
+they span and coordinates it passes to rank; oracle.py's docstring shows
+that the factors leave every rank as it was.
 
 Over a prime field rref, rank and reduce_rows take any int64
 representative of each residue: they reduce their input mod p on entry, so
@@ -68,7 +65,6 @@ rather than numpy's Python-level wrappers such as np.flatnonzero,
 np.vstack and np.argsort.
 """
 
-from bisect import bisect
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -234,39 +230,6 @@ class Rationals:
     def rank(self, A):
         return len(_fraction_free(_int_rows(A), A.shape[1], jordan=False)[0])
 
-    def extensions(self, ech, rows):
-        """[the echelon of ech.rows stacked on rows[:k] for k = 1, 2, ...].
-
-        One Gauss-Jordan pass adds a row at a time.  The row w is reduced
-        against each basis row R_l in turn, w = c_l*w - w[p_l]*R_l with c_l
-        the pivot of R_l > 0; R_l is reduced, so that leaves w's entries in
-        the other pivot columns as they were.  A nonzero w is made primitive
-        at its first nonzero column c, which becomes a pivot, and every R_l
-        with an entry at c becomes w[c]*R_l - R_l[c]*w, made primitive
-        again: w[p_l] = 0, so its pivot stays positive.  Each echelon is
-        therefore in the canonical form rref gives its rows.
-        """
-        ncols = rows.shape[1]
-        basis, pivots = ech.rows.tolist(), list(ech.pivots)
-        out = []
-        for w in _int_rows(rows):
-            for row, col in zip(basis, pivots):
-                f = w[col]
-                if f:
-                    a = row[col]
-                    w = [a * x - f * y for x, y in zip(w, row)]
-            c = next((n for n, x in enumerate(w) if x), None)
-            if c is not None:
-                w = _primitive(w, c)
-                a = w[c]
-                basis = [_primitive([a * x - row[c] * y for x, y in zip(row, w)], col)
-                         if row[c] else row for row, col in zip(basis, pivots)]
-                at = bisect(pivots, c)
-                basis.insert(at, w)
-                pivots.insert(at, c)
-            out.append(Echelon(_object_array(basis, ncols), tuple(pivots)))
-        return out
-
     def reduce_rows(self, W, ech):
         """Eliminates ech's pivot coordinates from every row of W.
 
@@ -389,10 +352,6 @@ class PrimeField:
             out = (out + self._product(A[:, k : k + _INNER_MAX], B[k : k + _INNER_MAX])) % p
         return out
 
-    def _mul(self, A, B):
-        """A . B mod p, exact in int64, for A and B with entries in [0, p)."""
-        return self._product(A, B) % self.p
-
     def rref(self, A):
         """Gauss-Jordan that jumps to the next column with a nonzero entry
         at or below row r, and stops when no such column is left."""
@@ -452,33 +411,6 @@ class PrimeField:
             r += 1
         return r
 
-    def extensions(self, ech, rows):
-        """[the echelon of ech.rows stacked on rows[:k] for k = 1, 2, ...].
-
-        One Gauss-Jordan pass adds a row at a time: the row is reduced
-        against the echelon so far in one product, a nonzero residual is
-        scaled to pivot 1 at its first nonzero column c, c is cleared from
-        the rows already there in one update, and the residual goes in
-        among them by its pivot.  Each product is at most (p-1)**2 < 2**63.
-        """
-        p = self.p
-        basis, pivots = ech.rows, list(ech.pivots)
-        out = []
-        for w in rows % p:
-            w = w[None]
-            if pivots:
-                w = (w - self._product(w[:, pivots], basis)) % p
-            live = w[0].nonzero()[0]
-            if live.size:
-                c = int(live[0])
-                w = w * pow(int(w[0, c]), -1, p) % p
-                basis = (basis - basis[:, c : c + 1] * w) % p
-                at = bisect(pivots, c)
-                basis = np.concatenate((basis[:at], w, basis[at:]))
-                pivots.insert(at, c)
-            out.append(Echelon(basis, tuple(pivots)))
-        return out
-
     def reduce_rows(self, W, ech):
         """Eliminates ech's pivot coordinates from every row of W.
 
@@ -495,9 +427,14 @@ class PrimeField:
         return (W - self._product(W[:, list(ech.pivots)], ech.rows)) % p
 
     def echelon(self, rows, pivots):
-        """Reduced rows with the given pivots as an Echelon; the caller's
-        rows already have pivot 1, the canonical form."""
-        return Echelon(rows, tuple(pivots))
+        """The canonical form of reduced rows with the given pivots: each
+        row whose pivot is not 1 scaled to pivot 1."""
+        pivots = tuple(pivots)
+        heads = rows[np.arange(len(pivots)), pivots]
+        if (heads != 1).any():
+            p = self.p
+            rows = rows * np.array([pow(h, -1, p) for h in heads.tolist()])[:, None] % p
+        return Echelon(rows, pivots)
 
 
 QQ = Rationals()

@@ -240,13 +240,18 @@ def normalize(grid):
     return derived(grid, "normalize", _normalize)
 
 
+def line_order(grid):
+    """(row order, column order): each line's indices by decreasing point
+    count, ties by index.  No validation, so empty lines come last."""
+    def order(counts):
+        return tuple(sorted(range(len(counts)), key=lambda k: (-counts[k], k)))
+
+    return order(grid.row_counts()), order(grid.col_counts())
+
+
 def _normalize(grid):
     require_valid(grid)
-    nr, nc = grid.shape
-    rcount = grid.row_counts()
-    ccount = grid.col_counts()
-    row_perm = tuple(sorted(range(nr), key=lambda i: (-rcount[i], i)))
-    col_perm = tuple(sorted(range(nc), key=lambda j: (-ccount[j], j)))
+    row_perm, col_perm = line_order(grid)
     inc = tuple(
         tuple(grid.incidence[i][j] for j in col_perm)
         for i in row_perm

@@ -37,7 +37,12 @@ The value spaces come from the grid's tensor structure (proof in _Spaces).
 On the full grid V_(u,v) is row interpolation in degree u tensored with
 column interpolation in degree v, and its reduced echelon rows are the
 products R_u[a] (x) S_v[b] of the rrefs of the two Vandermonde matrices:
-products of lines, the split curves of the paper.  On the points, a
+products of lines, the split curves of the paper.  The rref is unique, and
+its row R_u[a] is the one vector of the row space that is 1 at column a and
+0 at the other columns b <= u: the Lagrange polynomial
+prod_(b <= u, b != a) (t - t_b) / (t_a - t_b) of the nodes t_0..t_u.  So
+the rows of R_(u-1) times one more line and the product of the first u
+lines give R_u with no elimination (_vandermonde_rrefs).  On the points, a
 product whose pivot cell (a,b) is a point keeps its pivot, and one whose
 pivot is a hole vanishes on the box a' <= u, b' <= v.  Only the latter are
 eliminated, on the points outside the box, and their pivots cleared from
@@ -82,31 +87,40 @@ import numpy as np
 
 from .errors import InvalidGrid, OracleInconsistency
 from .fields import Echelon, default_field
-from .grid import require_valid
+from .grid import line_order, require_valid
 from .hilbert import HilbertMatrix
 from .resolution import BettiTable
 
 
-def _powers(field, vals, kmax):
-    """Array (kmax+1, N) whose row k holds vals**k."""
-    rows = [field.vector([1] * vals.shape[0])]
-    for _ in range(kmax):
-        rows.append(field.multiply(rows[-1], vals))
-    return np.vstack(rows)
-
-
 def _vandermonde_rrefs(field, params, kind):
-    """[R_0, R_1, ...]: R_u is the rref of the Vandermonde rows params**a,
-    a <= u, whose pivots must be 0..u.  R_0 is the rref of the constant row;
-    one pass of field.extensions adds the powers after it a row at a time."""
-    powers = _powers(field, field.vector(params), len(params) - 1)
-    first = field.rref(powers[:1])
-    out = [first] + field.extensions(first, powers[1:])
-    for u, ech in enumerate(out):
-        if ech.pivots != tuple(range(u + 1)):
-            raise OracleInconsistency("the %s Vandermonde rref of degree %d has pivots %s"
-                                      % (kind, u, list(ech.pivots)))
-    return [ech.rows for ech in out]
+    """[R_0, R_1, ...]: R_u is the rref of the Vandermonde rows t**a, a <= u,
+    on the distinct nodes t_0, t_1, ... = params, in closed form.
+
+    The rref is unique, and its row a is the one vector in the row space
+    that is 1 at column a and 0 at the other columns b <= u: the Lagrange
+    polynomial prod_(b <= u, b != a) (t - t_b) / (t_a - t_b), a product of
+    lines.  Up to a nonzero factor per row, R_u[:u] is R_(u-1) times the
+    line t - t_u, and R_u[u] is R_(u-1)[u-1] times t - t_(u-1), the running
+    product of t - t_b over b < u; field.echelon puts each row in the
+    field's canonical form.  Columns 0..u of R_u must be diagonal with a
+    nonzero diagonal.
+    """
+    t = field.vector(params)
+    rows = field.vector([1] * len(t))[None]
+    out = []
+    for u in range(len(t)):
+        if u:
+            # over GF(p) a line's values lie in (-p, p), so each product
+            # with a residue is at most (p-1)**2 < 2**63 in size
+            rows = np.concatenate((field.multiply(out[-1], t - t[u]),
+                                   field.multiply(out[-1][-1:], t - t[u - 1])))
+        rows = field.echelon(rows, range(u + 1)).rows
+        box = rows[:, : u + 1]
+        if not np.count_nonzero(box.diagonal()) == np.count_nonzero(box) == u + 1:
+            raise OracleInconsistency("the %s Vandermonde rref of degree %d is not a nonzero "
+                                      "diagonal on columns 0..%d" % (kind, u, u))
+        out.append(rows)
+    return out
 
 
 class _Spaces:
@@ -116,14 +130,17 @@ class _Spaces:
     grid's number of points.
 
     Rows and columns are relabelled by descending point count, ties broken
-    by index, and the points are ordered row-major in the relabelled grid:
-    that is the column order of every echelon, and points[n] is the
-    original position of column n.  R_u is the rref of the row Vandermonde
-    t^a, a <= u, on all nr row parameters; they are distinct, so its pivots
-    are 0..u.  S_v is the same for the columns.  On the full grid the rows
-    R_u[a] (x) S_v[b] are the rref of V_(u,v): row (a,b) is nonzero at cell
-    (a,b), 0 at every other cell of the box a' <= u, b' <= v, and 0 at every
-    cell before (a,b) in row-major order.  On the points:
+    by index (grid.line_order), and the points are ordered row-major in the
+    relabelled grid: that is the column order of every echelon, and
+    points[n] is the original position of column n.  R_u is the rref of the
+    row Vandermonde t^a, a <= u, on all nr row parameters; they are
+    distinct, so its pivots are 0..u, and its row a is the Lagrange
+    polynomial of t_0..t_u that is 1 at t_a, a product of lines
+    (_vandermonde_rrefs builds it so).  S_v is the same for the columns.
+    On the full grid the rows R_u[a] (x) S_v[b] are the rref of V_(u,v):
+    row (a,b) is nonzero at cell (a,b), 0 at every other cell of the box
+    a' <= u, b' <= v, and 0 at every cell before (a,b) in row-major order.
+    On the points:
     - a kept row, whose pivot (a,b) is a point, keeps that pivot and is 0 on
       the box's other points;
     - a hole row, whose pivot is a hole, is 0 on all the box's points.
@@ -137,8 +154,8 @@ class _Spaces:
     column order (field.echelon puts each row in the field's canonical
     form).  An ACM scheme relabelled this way is a staircase, and its hole
     rows vanish on every point.  Both facts the construction rests on are
-    checked: a Vandermonde rref whose pivots are not 0..u, or a kept row
-    without its pivot, raises OracleInconsistency.
+    checked: a Vandermonde rref that is not a nonzero diagonal on columns
+    0..u, or a kept row without its pivot, raises OracleInconsistency.
     """
 
     def __init__(self, grid, field=None):
@@ -146,9 +163,7 @@ class _Spaces:
         self.field = field = field or default_field(grid.npoints)
         self.shape = nr, nc = grid.shape
         self.window = (nr + 1, nc + 1)
-        rcount, ccount = grid.row_counts(), grid.col_counts()
-        rows = sorted(range(nr), key=lambda i: (-rcount[i], i))
-        cols = sorted(range(nc), key=lambda j: (-ccount[j], j))
+        rows, cols = line_order(grid)
         occupied = np.array([[grid.incidence[i][j] for j in cols] for i in rows])
         pa, pb = occupied.nonzero()
         self.points = tuple((rows[a], cols[b]) for a, b in zip(pa.tolist(), pb.tolist()))

@@ -226,9 +226,9 @@ def test_koszul_checks_survive_python_O():
 
 
 def test_value_space_checks_survive_python_O():
-    # a Vandermonde rref without its first pivot, and a hole reduction that
-    # wipes the kept rows it touches, must be reported with asserts
-    # compiled away, over GF(p) and over QQ
+    # a Vandermonde rref whose canonical form loses its first row, and a
+    # hole reduction that wipes the kept rows it touches, must be reported
+    # with asserts compiled away, over GF(p) and over QQ
     code = "\n".join([
         "import sys",
         "from biproj import OracleInconsistency, PointGrid, PrimeField, Rationals",
@@ -236,13 +236,13 @@ def test_value_space_checks_survive_python_O():
         "from biproj.fields import Echelon",
         "grid = PointGrid.from_points(3, 3, [(0, 0), (0, 1), (1, 0), (2, 2)])",
         "for cls in (PrimeField, Rationals):",
-        "    rref, reduce_rows = cls.rref, cls.reduce_rows",
-        "    cls.rref = lambda self, A: Echelon(*(r[1:] for r in rref(self, A)))",
+        "    echelon, reduce_rows = cls.echelon, cls.reduce_rows",
+        "    cls.echelon = lambda self, rows, pivots: Echelon(*(r[1:] for r in echelon(self, rows, pivots)))",
         "    try:",
         "        oracle._Spaces(grid, cls())",
         "    except OracleInconsistency as e:",
         "        print(sys.flags.optimize, e)",
-        "    cls.rref = rref",
+        "    cls.echelon = echelon",
         "    cls.reduce_rows = lambda self, W, ech: W * 0",
         "    try:",
         "        oracle._Spaces(grid, cls())",
@@ -253,7 +253,7 @@ def test_value_space_checks_survive_python_O():
     env = dict(os.environ, PYTHONPATH=str(Path(biproj.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
-    expected = ("1 the row Vandermonde rref of degree 0 has pivots []\n"
+    expected = ("1 the row Vandermonde rref of degree 0 is not a nonzero diagonal on columns 0..0\n"
                 "1 a kept row of V_(1,1) lost its pivot\n")
     assert proc.stdout == expected * 2, proc.stderr
 
@@ -411,6 +411,28 @@ def _assert_same_echelon(ech, ref):
     assert ech.pivots == ref.pivots
     assert ech.rows.dtype == ref.rows.dtype and ech.rows.shape == ref.rows.shape
     assert (ech.rows == ref.rows).all()
+
+
+@pytest.mark.parametrize("field", [QQ, GFP, PrimeField(101)], ids=lambda f: f.name)
+def test_vandermonde_rrefs_match_rref_of_the_power_rows(field):
+    # the closed form, the rows of R_(u-1) times one more line and the
+    # product of the first u lines, is the rref of the power rows t**a,
+    # a <= u, in the field's canonical form: the same rows, pivots 0..u and
+    # dtype, on integer, scrambled negative and non-integer nodes
+    rng = np.random.default_rng(41)
+    mod = (lambda x: x % field.p) if field.p else (lambda x: x)
+    for n in range(1, 16):
+        for params in (list(range(n)),
+                       [-3 * int(m) - 1 for m in rng.permutation(30)[:n]],
+                       [int(m) - 7 + Fraction(1, 2 + int(m) % 3) for m in rng.permutation(15)[:n]]):
+            ts = field.convert_params(params)
+            got = oracle._vandermonde_rrefs(field, ts, "row")
+            assert len(got) == n
+            for u, rows in enumerate(got):
+                ref = field.rref(field.array([[mod(x**a) for x in ts] for a in range(u + 1)]))
+                assert ref.pivots == tuple(range(u + 1))
+                assert rows.dtype == ref.rows.dtype and rows.shape == ref.rows.shape
+                assert (rows == ref.rows).all(), (params, u)
 
 
 @pytest.mark.parametrize("field", [QQ, GFP, PrimeField(101)], ids=lambda f: f.name)
