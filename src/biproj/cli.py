@@ -157,7 +157,7 @@ def cmd_classify(args):
         "points": [
             {
                 "position": list(pc.position),
-                "kind": "interior" if pc.kind is PointKind.INTERIOR else "boundary",
+                "kind": pc.kind.value,
                 "row_count": pc.row_count,
                 "col_count": pc.col_count,
                 "separating_degree": list(pc.separating_degree),
@@ -170,8 +170,7 @@ def cmd_classify(args):
              "vertices: " + " ".join("(%d,%d)" % v for v in vertices)]
     for pc in classes:
         lines.append("P(%d,%d)  %s  separating degree (%d,%d)" % (
-            pc.position + ("interior" if pc.kind is PointKind.INTERIOR else "boundary",)
-            + pc.separating_degree))
+            pc.position + (pc.kind.value,) + pc.separating_degree))
     _emit(args, obj, "\n".join(lines))
     return EXIT_OK
 

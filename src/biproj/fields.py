@@ -1,13 +1,15 @@
 """Exact scalar fields and the row-echelon linear algebra the oracle runs on.
 
-Matrices are numpy arrays throughout: dtype=object holding Python ints for
-the rationals (Fractions only where a caller passes a non-integer value),
-dtype=int64 for a prime field.  Both field classes expose the same ten
-methods, so the oracle code is field-agnostic:
+Every value enters a field through convert_params, and every matrix holds
+field elements: numpy arrays of dtype=object holding Python ints over the
+rationals, of dtype=int64 holding residues in [0, p) over a prime field.
+Both field classes expose the same eight methods, so the oracle code is
+field-agnostic:
 
-- scalar(x), vector(vals), array(rows), zeros(m, n): values in the field;
-- convert_params(params): line parameters as scalars, BadField if two meet
-  (over the rationals, all times one integer);
+- convert_params(params): line parameters as field elements, BadField if
+  two meet (over the rationals, all times one integer);
+- vector(vals), zeros(m, n): an array of the field elements vals, taken as
+  they are, and an m x n array of zeros;
 - multiply(A, B): the entrywise product, with numpy's broadcasting;
 - rref(A), rank(A): the reduced echelon basis (an Echelon) and the rank;
 - reduce_rows(W, ech): W with ech's pivot coordinates eliminated, up to a
@@ -26,15 +28,14 @@ echelon only through its pivots, the zero pattern of its rows, the space
 they span and coordinates it passes to rank; oracle.py's docstring shows
 that the factors leave every rank as it was.
 
-Over a prime field rref, rank and reduce_rows take any int64
-representative of each residue: they reduce their input mod p on entry, so
-a caller may pass -A for a matrix A with entries in [0, p).
+Over a prime field rref and reduce_rows take residues in [0, p), and
+PrimeField._product's int64 bound rests on it.  rank alone reads any int64
+representative of each residue: it reduces its input mod p on entry, so a
+caller may pass -A for a matrix A of residues.  No method changes its input.
 
 Over the rationals the elimination runs on Python ints and builds no
-Fraction.  convert_params returns integers, so every matrix the oracle
-builds holds ints alone; a matrix holding a Fraction first has each row
-multiplied by the lcm of its denominators, which keeps its span.  rref and
-rank run a fraction-free Gauss-Jordan pass (Bareiss, Math. Comp. 22, 1968),
+Fraction; only convert_params reads one.  rref and rank run a fraction-free
+Gauss-Jordan pass (Bareiss, Math. Comp. 22, 1968),
 row_i = (a*row_i - b*row_r) // prev, with a the new pivot and prev the one
 before it; every division is exact.  rref divides each resulting row by the
 gcd of its entries, signed by its pivot.  reduce_rows returns
@@ -66,7 +67,6 @@ np.vstack and np.argsort.
 """
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -100,29 +100,10 @@ class Echelon(NamedTuple):
     pivots: tuple
 
 
-def _rational(x):
-    """x as a Python int when it is an integer, else as a Fraction."""
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 def _object_array(rows, ncols):
     out = np.empty((len(rows), ncols), dtype=object)
     for i, row in enumerate(rows):
         out[i, :] = row
-    return out
-
-
-def _int_rows(A):
-    """A's rows as lists of Python ints.  If A holds a Fraction, each row is
-    multiplied by the lcm of its denominators, which keeps its span."""
-    rows = A.tolist()
-    if set(map(type, chain.from_iterable(rows))) <= {int}:
-        return rows
-    out = []
-    for row in rows:
-        den = lcm(*[x.denominator for x in row])
-        out.append([x.numerator * (den // x.denominator) for x in row])
     return out
 
 
@@ -178,19 +159,14 @@ def _primitive_echelon(rows, pivots, ncols):
 class Rationals:
     """Exact arithmetic over Q on Python ints.
 
-    scalar keeps exact Fractions; vector and array keep integer values as
-    ints.  rref, rank and reduce_rows eliminate on ints and return ints:
-    echelons in their canonical integer form, reductions times one common
-    factor.
+    convert_params turns parameters into ints; rref, rank and reduce_rows
+    eliminate on ints and return ints: echelons in their canonical integer
+    form, reductions times one common factor.
     """
 
     name = "rationals"
     kind = "rationals"
     p = None
-
-    def scalar(self, x):
-        """Converts int / Fraction / '7/3' strings to Fraction."""
-        return Fraction(x)
 
     def convert_params(self, params):
         """Returns the line parameters times the lcm of their denominators:
@@ -202,10 +178,6 @@ class Rationals:
             raise BadField("line parameters collide over the rationals")
         return ints
 
-    def array(self, rows):
-        rows = [[_rational(x) for x in row] for row in rows]
-        return _object_array(rows, len(rows[0]) if rows else 0)
-
     def zeros(self, m, n):
         out = np.empty((m, n), dtype=object)
         out[:, :] = 0
@@ -213,7 +185,7 @@ class Rationals:
 
     def vector(self, vals):
         out = np.empty(len(vals), dtype=object)
-        out[:] = [_rational(x) for x in vals]
+        out[:] = vals
         return out
 
     def multiply(self, A, B):
@@ -223,12 +195,12 @@ class Rationals:
         """The canonical integer form of the reduced row echelon basis: its
         nonzero rows, each primitive with a positive pivot, and the pivot
         columns."""
-        rows = _int_rows(A)
+        rows = A.tolist()
         pivots, _ = _fraction_free(rows, A.shape[1], jordan=True)
         return _primitive_echelon(rows, pivots, A.shape[1])
 
     def rank(self, A):
-        return len(_fraction_free(_int_rows(A), A.shape[1], jordan=False)[0])
+        return len(_fraction_free(A.tolist(), A.shape[1], jordan=False)[0])
 
     def reduce_rows(self, W, ech):
         """Eliminates ech's pivot coordinates from every row of W.
@@ -303,31 +275,27 @@ class PrimeField:
         self.p = p
         self.name = "gf(%d)" % p
 
-    def scalar(self, x):
+    def _residue(self, x):
+        """The residue of an int or Fraction x; BadField if its denominator
+        vanishes mod p."""
         x = Fraction(x)
-        num = x.numerator % self.p
         den = x.denominator % self.p
         if den == 0:
             raise BadField("denominator %d vanishes mod %d" % (x.denominator, self.p))
-        return num * pow(den, -1, self.p) % self.p
+        return x.numerator * pow(den, -1, self.p) % self.p
 
     def convert_params(self, params):
-        vals = [self.scalar(x) for x in params]
+        """Returns the line parameters as distinct residues."""
+        vals = [self._residue(x) for x in params]
         if len(set(vals)) != len(vals):
             raise BadField("line parameters collide mod %d" % self.p)
         return vals
-
-    def array(self, rows):
-        rows = [[self.scalar(x) if isinstance(x, (Fraction, str)) else int(x) for x in row] for row in rows]
-        if not rows:
-            return np.empty((0, 0), dtype=np.int64)
-        return np.array(rows, dtype=np.int64) % self.p
 
     def zeros(self, m, n):
         return np.zeros((m, n), dtype=np.int64)
 
     def vector(self, vals):
-        return np.array([self.scalar(x) for x in vals], dtype=np.int64)
+        return np.array(vals, dtype=np.int64)
 
     def multiply(self, A, B):
         return A * B % self.p
@@ -356,7 +324,7 @@ class PrimeField:
         """Gauss-Jordan that jumps to the next column with a nonzero entry
         at or below row r, and stops when no such column is left."""
         p = self.p
-        A = A % p
+        A = A.copy()
         m = A.shape[0]
         r = c = 0
         pivots = []
@@ -420,10 +388,9 @@ class PrimeField:
         ech is fully reduced, so subtracting one basis row leaves W's
         entries in the other pivot columns as they were.
         """
-        p = self.p
-        W = W % p
         if not ech.pivots:
-            return W
+            return W.copy()
+        p = self.p
         return (W - self._product(W[:, list(ech.pivots)], ech.rows)) % p
 
     def echelon(self, rows, pivots):

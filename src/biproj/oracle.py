@@ -4,56 +4,40 @@ Everything here is evaluation-based: a form of bidegree (u,v) is identified
 with its vector of values at the scheme's points (row R_i is [1 : t_i],
 column C_j is [1 : u_j], so x0 and y0 evaluate to 1, x1 to t and y1 to u).
 The value space V_(u,v) inside k^N is the column space of the evaluation
-matrix; its dimension is the Hilbert function.  Betti numbers come from
-Koszul homology: since x0 is a nonzerodivisor on the coordinate ring, Tor
-can be computed either from the full four-variable complex on the V's
-("direct" engine) or from the three-variable complex on the quotients
-V_(u,v)/V_(u-1,v) ("reduced" engine, the default — much smaller blocks),
-whose bases are the rows of V_(u,v)'s echelon with the pivots it adds to
-V_(u-1,v)'s (a subspace's pivots are among the space's).
-The matrices of the variables are built per target component: the images
-of every source basis that maps into (u,v) are stacked and reduced once
-against the full echelon of V_(u,v), which checks that none escapes, and
-their quotient coordinates come from one more reduction on the pivot
-columns of V_(u-1,v) and of the component's basis alone.  _KoszulModule
-fixes the layout of the complex (subsets, degree shifts, faces and signs)
-once, so each bidegree only reads it.
-Rows i >= 1 of the reduced engine need fewer ranks (proof in
-betti_oracle).  V_(i,j) = V_(i-1,j) + t V_(i-1,j), so x1 maps N'_(i-1,.)
-onto N'_(i,.).  Row i of the Koszul complex is the cone of that surjective
-chain map, and such a cone is quasi-isomorphic to the kernel shifted by
-one: its homology is that of W_i = ker x1 on y0, y1, with
-dim W_i(j) = dim N'_(i-1,j) - dim N'_(i,j).  One rank per component checks
-that x1 is onto; where W_i(j-1) = 0 every Tor is read from these
-dimensions, and elsewhere d2 and d3 are ranked.
-Everything depends on the grid alone.  _Spaces builds the grid's own
-index range u < nr, v < nc once and reads every wider cell through the
-clamp V_(u,v) = V_(min(u,nr-1), min(v,nc-1)) (proof in betti_oracle).
-Betti numbers come from the bidegrees up to (nr, nc), which hold them all;
-Hilbert matrices and drop sets are reported on (nr+1, nc+1), the window of
-hilbert_acm.
+matrix; its dimension is the Hilbert function.  A separator, a product of
+lines, is checked the same way, on the values of its lines at the points
+(verify_separator).
 
-The value spaces come from the grid's tensor structure (proof in _Spaces).
-On the full grid V_(u,v) is row interpolation in degree u tensored with
-column interpolation in degree v, and its reduced echelon rows are the
-products R_u[a] (x) S_v[b] of the rrefs of the two Vandermonde matrices:
-products of lines, the split curves of the paper.  The rref is unique, and
-its row R_u[a] is the one vector of the row space that is 1 at column a and
-0 at the other columns b <= u: the Lagrange polynomial
-prod_(b <= u, b != a) (t - t_b) / (t_a - t_b) of the nodes t_0..t_u.  So
-the rows of R_(u-1) times one more line and the product of the first u
-lines give R_u with no elimination (_vandermonde_rrefs).  On the points, a
-product whose pivot cell (a,b) is a point keeps its pivot, and one whose
-pivot is a hole vanishes on the box a' <= u, b' <= v.  Only the latter are
-eliminated, on the points outside the box, and their pivots cleared from
-the former: each cell costs one small hole elimination.  The echelons
-are taken with the lines relabelled by descending point count, so the
-columns are the points in an order of _Spaces' choosing.  No answer
-depends on that order: a permutation of the coordinates maps every
-V_(u,v) onto the value space of the same points in the other order and
-commutes with multiplying by t and u, so it keeps every dimension, every
-unit vector e_P in a space (the drop sets) and every rank of the Koszul
-complex.
+Value spaces (proof in _Spaces).  On the full grid the reduced echelon rows
+of V_(u,v) are the products R_u[a] (x) S_v[b] of the rrefs of the row and
+column Vandermonde matrices, each written down as products of lines, the
+split curves of the paper (proof in _vandermonde_rrefs).  On the points
+only the products whose pivot is a hole are eliminated: each cell costs one
+small hole elimination.  _Spaces builds the grid's own index range u < nr,
+v < nc once and reads every wider cell through the clamp
+V_(u,v) = V_(min(u,nr-1), min(v,nc-1)) (proof in betti_oracle).  Hilbert
+matrices and drop sets are reported on (nr+1, nc+1), the window of
+hilbert_acm.  The echelons are taken with the lines relabelled by
+descending point count, so the columns are the points in an order of
+_Spaces' choosing.  No answer depends on that order: a permutation of the
+coordinates maps every V_(u,v) onto the value space of the same points in
+the other order and commutes with multiplying by t and u, so it keeps every
+dimension, every unit vector e_P in a space (the drop sets) and every rank
+of the Koszul complex.
+
+Betti numbers (proof in betti_oracle) come from Koszul homology on the
+bidegrees up to (nr, nc), which hold them all.  x0 is a nonzerodivisor on
+the coordinate ring, so Tor can be computed either from the full
+four-variable complex on the V's ("direct" engine) or from the
+three-variable complex on the quotients N'_(u,v) = V_(u,v)/V_(u-1,v)
+("reduced" engine, the default: much smaller blocks), whose bases are the
+rows of V_(u,v)'s echelon with the pivots it adds to V_(u-1,v)'s (a
+subspace's pivots are among the space's).  The reduced engine reads its
+rows i >= 1 off the kernel of x1 and takes ranks only where the dimensions
+do not give the answer.  The matrices of the variables are built per target
+component (_KoszulModule._maps_into), and _KoszulModule fixes the layout of
+the complex (subsets, degree shifts, faces and signs) once, so each
+bidegree only reads it.
 
 Over the rationals the field computes on integers (see fields.py), and
 each value here is an exact one times a nonzero factor that leaves every
@@ -61,7 +45,9 @@ answer as it is:
 - convert_params multiplies the row parameters by one integer D and the
   column parameters by one integer E.  The monomial row t^a u^b is then
   scaled by D^a E^b, so every V_(u,v) is the same space, and Koszul
-  homology on (D x1, y0, E y1) is isomorphic to that on (x1, y0, y1).
+  homology on (D x1, y0, E y1) is isomorphic to that on (x1, y0, y1).  A
+  separator's values are scaled by D^r E^s, with r and s its numbers of
+  row and column lines, so the same values vanish.
 - Echelon row l of a space is c_l > 0 times its reduced row.  Pivots,
   dimensions and unit rows (drop_sets) do not see the c_l.  A component's
   basis is fixed once, so each basis vector carries its own factor c_l in
@@ -81,7 +67,6 @@ source vector would carry a different factor in each block it meets.
 
 from collections import Counter
 from itertools import accumulate, combinations
-from math import prod
 
 import numpy as np
 
@@ -134,9 +119,8 @@ class _Spaces:
     relabelled grid: that is the column order of every echelon, and
     points[n] is the original position of column n.  R_u is the rref of the
     row Vandermonde t^a, a <= u, on all nr row parameters; they are
-    distinct, so its pivots are 0..u, and its row a is the Lagrange
-    polynomial of t_0..t_u that is 1 at t_a, a product of lines
-    (_vandermonde_rrefs builds it so).  S_v is the same for the columns.
+    distinct, so its pivots are 0..u (_vandermonde_rrefs writes it down).
+    S_v is the same for the columns.
     On the full grid the rows R_u[a] (x) S_v[b] are the rref of V_(u,v):
     row (a,b) is nonzero at cell (a,b), 0 at every other cell of the box
     a' <= u, b' <= v, and 0 at every cell before (a,b) in row-major order.
@@ -383,13 +367,10 @@ class _KoszulModule:
         w = np.concatenate(images)
         if field.reduce_rows(w, self.spaces.at(u, v)).any():
             raise OracleInconsistency("image escapes the target component")
-        if sub.pivots:
-            cols = list(sub.pivots + basis.pivots)
-            k = len(sub.pivots)
-            narrow = Echelon(sub.rows[:, cols], tuple(range(k)))
-            coords = field.reduce_rows(w[:, cols], narrow)[:, k:]
-        else:
-            coords = w[:, list(basis.pivots)]
+        cols = list(sub.pivots + basis.pivots)
+        k = len(sub.pivots)
+        narrow = Echelon(sub.rows[:, cols], tuple(range(k)))
+        coords = field.reduce_rows(w[:, cols], narrow)[:, k:]
         start = 0
         for key, n in keys:
             self._mult[key] = coords[start : start + n]
@@ -521,19 +502,21 @@ def betti_oracle(grid, field=None, engine="reduced"):
 def verify_separator(sep, grid_Z, removed, field=None):
     """Checks a separator against a scheme: its product of linear forms must
     vanish on every point of Z, be nonzero at the removed point, and have
-    bidegree (#row lines, #col lines) matching the declared degree."""
+    bidegree (#row lines, #col lines) matching the declared degree.
+
+    A product of lines vanishes at a point exactly when one of its lines
+    passes through it.  convert_params keeps distinct lines distinct, or
+    raises BadField, so the verdict is the same over every field.
+    """
     field = field or default_field(grid_Z.npoints + 1)
     require_valid(grid_Z, allow_empty_lines=True)
     nr, nc = grid_Z.shape
     h, k = removed
     if not (0 <= h < nr and 0 <= k < nc):
         raise InvalidGrid("removed point (%d,%d) outside the grid" % (h, k))
-    ts, us = grid_Z.row_params, grid_Z.col_params
-    # BadField if the lines collide over the field.  Past this check every
-    # parameter denominator is a unit mod p, so mapping each exact product
-    # into the field once is a ring homomorphism and keeps the verdict.
-    field.convert_params(ts)
-    field.convert_params(us)
+    # BadField if the lines collide over the field
+    t = field.vector(field.convert_params(grid_Z.row_params))
+    u = field.vector(field.convert_params(grid_Z.col_params))
     nrows = sum(1 for kind, _ in sep.lines if kind == "R")
     ncols = len(sep.lines) - nrows
     if (nrows, ncols) != tuple(sep.degree):
@@ -542,11 +525,14 @@ def verify_separator(sep, grid_Z, removed, field=None):
         if (kind == "R" and not 0 <= idx < nr) or (kind == "C" and not 0 <= idx < nc):
             raise InvalidGrid("separator line %s_%d outside the grid" % (kind, idx))
 
-    # the curve's value at (i,j) is an exact row factor times a column factor
-    rowf = [prod(t - ts[idx] for kind, idx in sep.lines if kind == "R") for t in ts]
-    colf = [prod(u - us[idx] for kind, idx in sep.lines if kind == "C") for u in us]
-
-    def value(i, j):
-        return field.scalar(rowf[i] * colf[j])
-
-    return value(h, k) != 0 and all(value(i, j) == 0 for (i, j) in grid_Z.points())
+    # the curve's value at (i,j) is a row factor times a column factor, each
+    # a running product of lines, which fits in int64 as in _vandermonde_rrefs
+    rowf, colf = field.vector([1] * nr), field.vector([1] * nc)
+    for kind, idx in sep.lines:
+        if kind == "R":
+            rowf = field.multiply(rowf, t - t[idx])
+        else:
+            colf = field.multiply(colf, u - u[idx])
+    i, j = np.array(list(grid_Z.points()) + [(h, k)]).T
+    values = field.multiply(rowf[i], colf[j])
+    return bool(values[-1]) and not values[:-1].any()

@@ -14,45 +14,49 @@ from biproj.fields import GFP, QQ, Echelon, PrimeField, _is_prime, default_field
 FIELDS = [QQ, GFP, PrimeField(101)]
 
 
+def field_matrix(field, rows):
+    """Integer rows as a matrix of field elements: Python ints in an object
+    array over the rationals, int64 residues over a prime field."""
+    if field.p is None:
+        return np.array(rows, dtype=object)
+    return np.array([[x % field.p for x in row] for row in rows], dtype=np.int64)
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_rref_rank_known_matrix(field):
-    A = field.array([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    A = field_matrix(field, [[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     ech = field.rref(A)
     assert field.rank(A) == 2
     assert len(ech.pivots) == 2
     # pivots are unit columns
     for r, c in enumerate(ech.pivots):
         col = ech.rows[:, c]
-        assert col[r] == field.scalar(1)
-        assert all(col[k] == field.scalar(0) for k in range(len(ech.pivots)) if k != r)
+        assert col[r] == 1
+        assert all(col[k] == 0 for k in range(len(ech.pivots)) if k != r)
 
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_reduce_rows_clears_span(field):
-    A = field.array([[1, 1, 0], [0, 1, 1]])
+    A = field_matrix(field, [[1, 1, 0], [0, 1, 1]])
     ech = field.rref(A)
-    W = field.array([[2, 3, 1], [1, 2, 1]])  # both in the row span
+    W = field_matrix(field, [[2, 3, 1], [1, 2, 1]])  # both in the row span
     red = field.reduce_rows(W, ech)
     assert not (red != 0).any()
 
 
-def test_rationals_scalar_parses_fraction_strings():
-    assert QQ.scalar("7/3") == Fraction(7, 3)
-    assert QQ.scalar(5) == Fraction(5)
-
-
 def test_rationals_exactness():
-    # 1/3 * 3 == 1 exactly; floats would not survive rref pivoting
-    A = QQ.array([[Fraction(1, 3), 1], [1, 3]])
+    # entries past 2**53 stay exact: a float rank would see rounded entries
+    big = 10**20 + 1
+    A = field_matrix(QQ, [[big, 3 * big], [3, 9]])
     assert QQ.rank(A) == 1
 
 
 def test_prime_field_fraction_conversion():
     f = PrimeField(7)
-    x = f.scalar(Fraction(1, 3))
+    x, = f.convert_params([Fraction(1, 3)])
     assert (x * 3) % 7 == 1
     with pytest.raises(BadField):
-        f.scalar(Fraction(1, 7))  # denominator vanishes mod p
+        f.convert_params([Fraction(1, 7)])  # denominator vanishes mod p
 
 
 def test_prime_field_param_collision():
@@ -83,15 +87,15 @@ def test_random_rank_agreement(field):
     for _ in range(20):
         A = rng.integers(-4, 5, size=(5, 7))
         expected = np.linalg.matrix_rank(A.astype(float))
-        assert field.rank(field.array(A.tolist())) == expected
+        assert field.rank(field_matrix(field, A.tolist())) == expected
 
 
-def test_fields_expose_the_same_ten_methods():
+def test_fields_expose_the_same_eight_methods():
     def methods(field):
         return {n for n in dir(field) if not n.startswith("_") and callable(getattr(field, n))}
 
     assert methods(QQ) == methods(GFP) == {
-        "scalar", "vector", "array", "zeros", "convert_params",
+        "vector", "zeros", "convert_params",
         "multiply", "rref", "rank", "reduce_rows", "echelon"}
 
 
@@ -101,30 +105,31 @@ def test_multiply_is_entrywise_with_broadcasting(field):
     A = rng.integers(0, 100, (3, 4))
     B = rng.integers(0, 100, (3, 4))
     mod = (lambda x: x % field.p) if field.p else (lambda x: x)
-    rows = field.array(A.tolist())
-    for other, ref in ((field.array(B.tolist()), A * B), (field.vector(B[0].tolist()), A * B[0])):
+    rows = field_matrix(field, A.tolist())
+    for other, ref in ((field_matrix(field, B.tolist()), A * B), (field.vector(B[0].tolist()), A * B[0])):
         out = field.multiply(rows, other)
         assert out.dtype == rows.dtype and out.tolist() == mod(ref).tolist()
 
 
 @pytest.mark.parametrize("field", [GFP, PrimeField(101)], ids=lambda f: f.name)
 def test_prime_elimination_takes_any_representative(field):
-    # the Koszul differentials carry negated blocks -A, A in [0, p): rref,
-    # rank and reduce_rows read any integer matrix as its residues,
-    # including entries +-p that stand for 0
+    # the Koszul differentials carry negated blocks -A, A in [0, p): rank
+    # reads any integer matrix as its residues, including entries +-p that
+    # stand for 0.  rref and reduce_rows take residues.  No call changes
+    # its input.
     p = field.p
     rng = np.random.default_rng(29)
     for m, n in [(3, 4), (5, 5), (6, 3), (4, 8)]:
         A = rng.integers(0, p, (m, n))
         A[0] = 2 * A[1] % p  # a dependent row, so the rank is below m
         A[:, 0] = 0
+        before = A.copy()
         ref = field.rref(A)
+        assert not field.reduce_rows(A, ref).any()  # A's rows span ref's space
+        assert (A == before).all()
         for rep in (-A, A + p * rng.integers(-2, 3, (m, n))):
             before = rep.copy()
-            ech = field.rref(rep)
-            assert ech.pivots == ref.pivots and (ech.rows == ref.rows).all()
             assert field.rank(rep) == field.rank(rep % p) == len(ref.pivots) < m
-            assert (field.reduce_rows(rep, ref) == field.reduce_rows(rep % p, ref)).all()
             assert (rep == before).all()  # inputs are left as they were
         assert ((rep % p == 0) & (rep != 0)).any()  # some +-p stands for 0
 
@@ -214,7 +219,7 @@ def test_rationals_kernel_matches_reference():
     shapes += [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(150)]
     for m, n in shapes:
         rows = _random_rows(rng, m, n)
-        A = _qq(rows, n)
+        A = _qq([_canonical(row) for row in rows], n)
         ref_rows, ref_pivots = _reference_rref(rows, n)
 
         ech = QQ.rref(A)
@@ -225,18 +230,20 @@ def test_rationals_kernel_matches_reference():
         assert QQ.rank(A) == len(ref_pivots)
 
         # reduce_rows against subtracting one basis row at a time, times
-        # the lcm of ech's pivots, one factor for every row
+        # the lcm of ech's pivots, one factor for every row; each row of W
+        # is its Fraction row times the lcm d of its denominators
         wrows = _random_rows(rng, rng.randint(0, 5), n) + rows[:2]
-        W = _qq(wrows, n)
+        W = _qq([_canonical(w) for w in wrows], n)
         expected = [list(w) for w in wrows]
         for w in expected:
             for l, c in enumerate(ref_pivots):
                 f = w[c]
                 w[:] = [x - f * y for x, y in zip(w, ref_rows[l])]
         L = lcm(*[ech.rows[l, c] for l, c in enumerate(ech.pivots)])
+        dens = [lcm(*[x.denominator for x in w]) for w in wrows]
         red = QQ.reduce_rows(W, ech)
         assert red.shape == W.shape
-        assert _cells(red) == [[L * x for x in w] for w in expected]
+        assert _cells(red) == [[L * d * x for x in w] for d, w in zip(dens, expected)]
 
         # echelon makes reduced integer rows, scaled by any nonzero
         # factors (here -2, 3, -4, ...), primitive with a positive pivot again
@@ -251,15 +258,16 @@ def test_rationals_reduce_rows_scales_all_rows_alike():
     # the exact reductions (0, 0, -1/2) and (0, 0, -1/3) have different
     # denominators; making each row primitive on its own would return
     # (0, 0, -1) twice, which is no common multiple of the two
-    ech = QQ.rref(QQ.array([[2, 0, 1], [0, 3, 1]]))
+    ech = QQ.rref(field_matrix(QQ, [[2, 0, 1], [0, 3, 1]]))
     assert _cells(ech.rows) == [[2, 0, 1], [0, 3, 1]]
-    red = QQ.reduce_rows(QQ.array([[1, 0, 0], [0, 1, 0], [0, 0, 5]]), ech)
+    red = QQ.reduce_rows(field_matrix(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 5]]), ech)
     assert _cells(red) == [[0, 0, -3], [0, 0, -2], [0, 0, 30]]
 
 
 def test_rationals_canonical_rows_and_params():
     # rref rows (1, -1/2, 0) and (0, 0, 1) become (2, -1, 0) and (0, 0, 1)
-    ech = QQ.rref(QQ.array([[-4, 2, 6], [0, 0, Fraction(-1, 3)]]))
+    rows = [[-4, 2, 6], [0, 0, Fraction(-1, 3)]]
+    ech = QQ.rref(_qq([_canonical(row) for row in rows], 3))
     assert ech.pivots == (0, 2) and _cells(ech.rows) == [[2, -1, 0], [0, 0, 1]]
     assert QQ.convert_params([Fraction(1, 2), 3, Fraction(-2, 3)]) == [3, 18, -4]
     with pytest.raises(BadField):
@@ -267,7 +275,8 @@ def test_rationals_canonical_rows_and_params():
 
 
 def test_rationals_rref_input_untouched():
-    A = QQ.array([[Fraction(1, 2), 3, 0], [1, 6, Fraction(5, 3)]])
+    rows = [[Fraction(1, 2), 3, 0], [1, 6, Fraction(5, 3)]]
+    A = _qq([_canonical(row) for row in rows], 3)
     before = _cells(A)
     QQ.rref(A)
     QQ.rank(A)
@@ -498,7 +507,8 @@ def test_prime_unreduced_product_at_its_bound():
 def test_prime_reduce_rows_every_pivot_share(field):
     # against echelons whose pivots cover none, one short of a quarter, a
     # quarter, a half and all of the columns, reduce_rows matches the
-    # row-by-row reference for any representative of W and leaves W as it was
+    # row-by-row reference and leaves W as it was; rank reads -W and W + p
+    # as W and leaves them as they were
     p = field.p
     rng = random.Random(33)
     for n in (1, 4, 8, 13, 16, 40):
@@ -510,11 +520,14 @@ def test_prime_reduce_rows_every_pivot_share(field):
             assert ech.pivots == tuple(pivots) and ech.rows.tolist() == ref_rows
             wrows = _random_rows_mod(rng, rng.randint(1, 6), n, p) + ref_rows[:1]
             W = _gf(wrows, n)
-            for rep in (W, -W, W + p):
-                expected = _reduce_rows_reference(rep.tolist(), ref_rows, pivots, p)
+            expected = _reduce_rows_reference(wrows, ref_rows, pivots, p)
+            red = field.reduce_rows(W, ech)
+            assert red.dtype == np.int64 and red.tolist() == expected, (n, k)
+            assert W.tolist() == wrows
+            rank = len(_reference_rref_mod(wrows, n, p)[1])
+            for rep in (-W, W + p):
                 before = rep.copy()
-                red = field.reduce_rows(rep, ech)
-                assert red.dtype == np.int64 and red.tolist() == expected, (n, k)
+                assert field.rank(rep) == rank, (n, k)
                 assert (rep == before).all()
 
 

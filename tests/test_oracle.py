@@ -27,6 +27,7 @@ from biproj.oracle import (
     verify_separator,
 )
 from biproj.resolution import acm_resolution, removal_plan, remove_points, separator_for
+from test_fields import _canonical, field_matrix
 
 
 @pytest.mark.parametrize("field", [QQ, GFP])
@@ -429,7 +430,7 @@ def test_vandermonde_rrefs_match_rref_of_the_power_rows(field):
             got = oracle._vandermonde_rrefs(field, ts, "row")
             assert len(got) == n
             for u, rows in enumerate(got):
-                ref = field.rref(field.array([[mod(x**a) for x in ts] for a in range(u + 1)]))
+                ref = field.rref(field_matrix(field, [[mod(x**a) for x in ts] for a in range(u + 1)]))
                 assert ref.pivots == tuple(range(u + 1))
                 assert rows.dtype == ref.rows.dtype and rows.shape == ref.rows.shape
                 assert (rows == ref.rows).all(), (params, u)
@@ -439,8 +440,9 @@ def test_vandermonde_rrefs_match_rref_of_the_power_rows(field):
 def test_value_space_chain_matches_full_elimination(field):
     # references: each V_(u,v) up to (nr+1, nc+1) eliminated from all its
     # monomial rows, valued with Fractions at the points in the spaces'
-    # column order, so the clamp past the grid's index range meets an
-    # unclamped elimination; each quotient basis rebuilt by reduce_rows + rref
+    # column order and each scaled to integers, so the clamp past the grid's
+    # index range meets an unclamped elimination; each quotient basis
+    # rebuilt by reduce_rows + rref
     for g in _chain_schemes():
         spaces = _Spaces(g, field)
         module = _KoszulModule(spaces, reduced=True)
@@ -452,7 +454,7 @@ def test_value_space_chain_matches_full_elimination(field):
                 rows = [[Fraction(g.row_params[i]) ** a * Fraction(g.col_params[j]) ** b
                          for (i, j) in pts] for a in range(u + 1) for b in range(v + 1)]
                 ech = spaces.at(u, v)
-                _assert_same_echelon(ech, field.rref(field.array(rows)))
+                _assert_same_echelon(ech, field.rref(field_matrix(field, [_canonical(row) for row in rows])))
                 _assert_same_echelon(module._component(u, v)[1],
                                      field.rref(field.reduce_rows(ech.rows, spaces.at(u - 1, v))))
 
@@ -587,8 +589,9 @@ def test_verify_separator(two_row):
 @pytest.mark.parametrize("field", [QQ, GFP, PrimeField(10007)], ids=lambda f: f.name)
 def test_verify_separator_rational_params(field):
     # every point the split-curve rule separates on the scrambled grid with
-    # Fraction parameters; each product is taken exactly, then in the field.
-    # Swapping the first line for the one through the point must fail.
+    # Fraction parameters; the lines are evaluated in the field, on the
+    # parameters convert_params gives.  Swapping the first line for the one
+    # through the point must fail.
     import dataclasses
 
     _, g = _scrambled_removal()
@@ -614,3 +617,62 @@ def test_prime_field_parameter_collision():
         hilbert_oracle(g, PrimeField(5))
     # the default big prime keeps small integer parameters distinct
     assert hilbert_oracle(g, GFP).degree == 3
+
+
+def test_verify_separator_refuses_lines_that_collide_mod_p():
+    # over GF(5) rows 0 and 5 are one line, so are columns 3 and 8, and 1/5
+    # has no residue: each grid is refused, not given a verdict
+    for rows, cols in (((0, 5), (0, 1)), ((0, 1), (3, 8)), ((0, Fraction(1, 5)), (0, 1))):
+        g = staircase((2, 1), row_params=rows, col_params=cols)
+        for pos in ((1, 0), (0, 1)):
+            sep, z = separator_for(g, pos), g.without(pos)
+            assert verify_separator(sep, z, pos, GFP)
+            with pytest.raises(BadField):
+                verify_separator(sep, z, pos, PrimeField(5))
+
+
+@pytest.mark.parametrize("field", [GFP, PrimeField(101)], ids=lambda f: f.name)
+def test_prime_elimination_gets_residues_only(field, monkeypatch):
+    # PrimeField.rref and reduce_rows take residues in [0, p), and the int64
+    # bound of PrimeField._product rests on it: no oracle entry point passes
+    # them anything else
+    from biproj.formats import parse_configuration
+    from test_formats_cli import non_acm_corpus
+
+    calls = Counter()
+    rref, reduce_rows = PrimeField.rref, PrimeField.reduce_rows
+
+    def residues(name, p, *matrices):
+        for M in matrices:
+            assert M.dtype == np.int64 and ((M >= 0) & (M < p)).all(), name
+        calls[name] += 1
+
+    def checked_rref(self, A):
+        residues("rref", self.p, A)
+        return rref(self, A)
+
+    def checked_reduce_rows(self, W, ech):
+        residues("reduce_rows", self.p, W, ech.rows)
+        return reduce_rows(self, W, ech)
+
+    monkeypatch.setattr(PrimeField, "rref", checked_rref)
+    monkeypatch.setattr(PrimeField, "reduce_rows", checked_reduce_rows)
+    grids = _chain_schemes() + _rational_corpus() + [parse_configuration(c) for c in non_acm_corpus(24)]
+    refused = 0
+    for g in grids:
+        try:
+            hilbert_oracle(g, field)
+        except BadField:
+            refused += 1  # two rational-corpus grids have lines that meet mod 101
+            continue
+        drop_sets(g, field)
+        for engine in ("reduced", "direct"):
+            betti_oracle(g, field, engine)
+        for pos in g.points() if g.npoints > 1 else ():
+            try:
+                sep = separator_for(g, pos)
+            except NotACM:
+                continue
+            assert verify_separator(sep, g.without(pos), pos, field)
+    assert refused == (2 if field.p == 101 else 0)
+    assert calls["rref"] and calls["reduce_rows"]
