@@ -3,7 +3,7 @@
 Every value enters a field through convert_params, and every matrix holds
 field elements: numpy arrays of dtype=object holding Python ints over the
 rationals, of dtype=int64 holding residues in [0, p) over a prime field.
-Both field classes expose the same eight methods, so the oracle code is
+Both field classes expose the same nine methods, so the oracle code is
 field-agnostic:
 
 - convert_params(params): line parameters as field elements, BadField if
@@ -14,6 +14,9 @@ field-agnostic:
 - rref(A), rank(A): the reduced echelon basis (an Echelon) and the rank;
 - reduce_rows(W, ech): W with ech's pivot coordinates eliminated, up to a
   nonzero factor common to every row of W;
+- quotient_coords(W, ech, sub, cols): None if a row of W leaves the span of
+  ech, else reduce_rows(W, sub) read at the columns cols, for a subspace
+  sub whose pivots are among ech's (the oracle's Koszul maps);
 - echelon(rows, pivots): rows that are already reduced and ordered by their
   pivots, in the field's canonical form.
 
@@ -28,10 +31,11 @@ echelon only through its pivots, the zero pattern of its rows, the space
 they span and coordinates it passes to rank; oracle.py's docstring shows
 that the factors leave every rank as it was.
 
-Over a prime field rref and reduce_rows take residues in [0, p), and
-PrimeField._product's int64 bound rests on it.  rank alone reads any int64
-representative of each residue: it reduces its input mod p on entry, so a
-caller may pass -A for a matrix A of residues.  No method changes its input.
+Over a prime field rref, reduce_rows and quotient_coords take residues in
+[0, p), and PrimeField._product's float64 bound rests on it.  rank alone
+reads any int64 representative of each residue: it reduces its input mod p
+on entry, so a caller may pass -A for a matrix A of residues.  No method
+changes its input.
 
 Over the rationals the elimination runs on Python ints and builds no
 Fraction; only convert_params reads one.  rref and rank run a fraction-free
@@ -48,22 +52,37 @@ in, and the Koszul ranks built from those matrices would change.
 Over a prime field with (p-1)**2 < 2**63 (p = 2**31 - 1 by default) the
 elimination runs on int64 residues.  A row operation multiplies by one
 scalar, so a single product of residues is reduced at once.  reduce_rows
-clears many pivots in one matrix product instead: the right factor is split
-into 16-bit halves, which keeps every partial sum of up to 2**15 products
-below 2**63 (PrimeField._product).  An inner dimension of at most 2**15,
-the oracle's every product, is one such pair of products with no
-accumulator; longer ones are cut into chunks of that size.  The product is
-left unreduced below 2**63, and reduce_rows reduces once, after its
-subtraction.  rref jumps from a pivot to the next column with a
-nonzero entry at or below the next row and stops when none is left, so zero
-rows and zero columns cost no scan; it clears each pivot column with one
-update of the whole matrix.  rank eliminates forward only: one nonzero scan
-of the pivot column finds the pivot and the rows below it that hold a
-nonzero there, and only those rows are updated, with no inverse.  The
-matrices are small, so these kernels are bound by the number of numpy
-calls, not by arithmetic; they call ndarray methods and ufuncs directly
-rather than numpy's Python-level wrappers such as np.flatnonzero,
-np.vstack and np.argsort.
+and quotient_coords clear many pivots in one matrix product instead,
+PrimeField._product, which runs on float64 BLAS and is exact:
+- p - 1 < 2**31.5, so every residue is an integer that float64 holds
+  exactly.  The left factor A is split into three limbs of 11 bits,
+  A = a0 + a1*2**11 + a2*2**22, stacked into one matrix of three times
+  A's rows and multiplied by B in one float64 product.  The left factor is
+  the one split because in the oracle it is the smaller: the pivot columns
+  of W against a whole echelon.
+- A limb times a residue is below 2**11 * 2**31.5 = 2**42.5, so a sum of
+  at most 2**10 of them is below 2**52.5 < 2**53: every partial sum, in
+  whatever order BLAS adds, is an integer held exactly.  Longer inner
+  dimensions are cut into chunks of 2**10 and reduced chunk by chunk.  A
+  chunk of 2**11 is not safe: its sums reach 2**53.5, and at p = 3037000493
+  some of them round.
+- Each sum s < 2**21 * p is reduced in float64 to s - q*p with
+  q = floor(s*c) and c the float64 nearest (1 - 2**-40)/p.  Then
+  s/p - 1 < s*c < s/p, so q is floor(s/p) or one less; q*p <= s < 2**53 and
+  the difference are exact, and the result lies in [0, 2p).
+- The three reduced sums, each below 2**32.5, are combined in int64 as
+  (r2*2**11 + r1)*2**11 + r0 < 2**55.
+The product is left unreduced below 2**55, and reduce_rows and
+quotient_coords reduce once, after their subtraction.  rref jumps from a
+pivot to the next column with a nonzero entry at or below the next row and
+stops when none is left, so zero rows and zero columns cost no scan; it
+clears each pivot column with one update of the whole matrix.  rank
+eliminates forward only: one nonzero scan of the pivot column finds the
+pivot and the rows below it that hold a nonzero there, and only those rows
+are updated, with no inverse.  The matrices are small, so these kernels are
+bound by the number of numpy calls, not by arithmetic; they call ndarray
+methods and ufuncs directly rather than numpy's Python-level wrappers such
+as np.flatnonzero, np.vstack and np.argsort.
 """
 
 from fractions import Fraction
@@ -81,8 +100,12 @@ DEFAULT_PRIME = 2**31 - 1
 # recheck on any disagreement, handled by the callers that compare results).
 RATIONALS_POINT_LIMIT = 30
 
-# Longest inner dimension PrimeField._product sums in one int64 product.
-_INNER_MAX = 2**15
+# PrimeField._product splits its left factor into three limbs of _LIMB_BITS
+# bits and sums at most _INNER_MAX products in one float64 matmul.
+_LIMB_BITS = 11
+_LIMB_MASK = 2**_LIMB_BITS - 1
+_LIMB_SHIFTS = np.array([0, _LIMB_BITS, 2 * _LIMB_BITS])[:, None, None]
+_INNER_MAX = 2**10
 
 
 class Echelon(NamedTuple):
@@ -228,6 +251,23 @@ class Rationals:
             out.append(acc)
         return _object_array(out, W.shape[1])
 
+    def quotient_coords(self, W, ech, sub, cols):
+        """L times W reduced modulo sub, read at the columns cols, with L the
+        lcm of sub's pivot entries; None if a row of W leaves the span of
+        ech.  sub's pivots must be among ech's.
+
+        The first reduce_rows is the escape check against ech.  The second
+        reads only the columns of sub's pivots and of cols: with sub
+        re-indexed to pivots 0..k-1 it gives the same numbers as the
+        reduction of whole rows, column by column, and the same L.
+        """
+        if self.reduce_rows(W, ech).any():
+            return None
+        wide = list(sub.pivots) + list(cols)
+        k = len(sub.pivots)
+        narrow = Echelon(sub.rows[:, wide], tuple(range(k)))
+        return self.reduce_rows(W[:, wide], narrow)[:, k:]
+
     def echelon(self, rows, pivots):
         """The canonical integer form of reduced rows with the given pivots:
         each row divided by the gcd of its entries, signed by its pivot."""
@@ -302,22 +342,30 @@ class PrimeField:
 
     def _product(self, A, B):
         """An int64 matrix congruent to A . B mod p with every entry in
-        [0, 2**63), for A and B with entries in [0, p): reduced only as far
-        as int64 needs, so a caller can fold the last % p into its own."""
-        # B = hi * 2**16 + lo.  (p-1)**2 < 2**63 puts every entry below
-        # 2**31.5, so a product with lo (< 2**16) or hi (< 2**15.5) is below
-        # 2**47.5 and a sum of _INNER_MAX = 2**15 of them below 2**62.5.
-        # The hi-sum is reduced below p before the shift, so it adds less
-        # than 2**31.5 * 2**16 = 2**47.5: the sum is below
-        # 2**62.5 + 2**47.5 < 2**63.  Longer inner dimensions are cut into
-        # chunks of _INNER_MAX; the running residue (< p) plus one chunk's
-        # product stays below 2**62.5 + 2**47.5 + 2**31.5 < 2**63.
+        [0, 2**55), for A and B with entries in [0, p): reduced only as far
+        as int64 needs, so a caller can fold the last % p into its own.
+        One float64 matmul of A's three limbs against B; the module
+        docstring shows that every step is exact."""
         p = self.p
-        if A.shape[1] <= _INNER_MAX:
-            return (A @ (B >> 16) % p << 16) + A @ (B & 0xFFFF)
-        out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-        for k in range(0, A.shape[1], _INNER_MAX):
-            out = (out + self._product(A[:, k : k + _INNER_MAX], B[k : k + _INNER_MAX])) % p
+        (m, k), n = A.shape, B.shape[1]
+        if k > _INNER_MAX:
+            out = np.zeros((m, n), dtype=np.int64)
+            for s in range(0, k, _INNER_MAX):
+                out = (out + self._product(A[:, s : s + _INNER_MAX], B[s : s + _INNER_MAX])) % p
+            return out
+        # rows l*m .. l*m + m - 1 of limbs are limb l of A
+        limbs = (A >> _LIMB_SHIFTS & _LIMB_MASK).reshape(3 * m, k)
+        sums = limbs.astype(np.float64) @ B.astype(np.float64)
+        # sums - floor(sums * c) * p lies in [0, 2p)
+        q = sums * ((1 - 2.0**-40) / p)
+        np.floor(q, out=q)
+        q *= p
+        sums -= q
+        sums = sums.astype(np.int64).reshape(3, m, n)
+        out = sums[2] << _LIMB_BITS
+        out += sums[1]
+        out <<= _LIMB_BITS
+        out += sums[0]
         return out
 
     def rref(self, A):
@@ -384,7 +432,7 @@ class PrimeField:
 
         Returns W - W[:, pivots] . ech.rows (mod p) from one unreduced
         product, reduced once after the subtraction (W's residues are >= 0
-        and the product is below 2**63, so the difference fits in int64).
+        and the product is below 2**55, so the difference fits in int64).
         ech is fully reduced, so subtracting one basis row leaves W's
         entries in the other pivot columns as they were.
         """
@@ -392,6 +440,30 @@ class PrimeField:
             return W.copy()
         p = self.p
         return (W - self._product(W[:, list(ech.pivots)], ech.rows)) % p
+
+    def quotient_coords(self, W, ech, sub, cols):
+        """W reduced modulo sub, read at the columns cols; None if a row of
+        W leaves the span of ech.  sub's pivots must be among ech's.
+
+        One product of W[:, P], P = ech's pivots, against [ech.rows | T]:
+        row l of T is sub's row with pivot P[l] read at cols, or zero where
+        P[l] is not a pivot of sub.  The left block gives W's residual
+        modulo ech on every column; the right block gives
+        W[:, Q] . sub.rows[:, cols], with Q = sub's pivots, which is what
+        reduce_rows(W, sub) subtracts at cols.
+        """
+        p = self.p
+        cols, pivots, n = list(cols), list(ech.pivots), W.shape[1]
+        B = np.zeros((len(pivots), n + len(cols)), dtype=np.int64)
+        B[:, :n] = ech.rows
+        in_sub = set(sub.pivots)
+        B[[l for l, c in enumerate(pivots) if c in in_sub], n:] = sub.rows[:, cols]
+        out = np.concatenate((W, W[:, cols]), axis=1)
+        out -= self._product(W[:, pivots], B)
+        out %= p
+        if out[:, :n].any():
+            return None
+        return out[:, n:]
 
     def echelon(self, rows, pivots):
         """The canonical form of reduced rows with the given pivots: each

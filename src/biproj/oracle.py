@@ -54,11 +54,11 @@ answer as it is:
   every block it is the source of.
 - reduce_rows(W, ech) returns L times the exact reduction, with L the lcm
   of ech's pivot entries.  The coordinates of every map into component
-  (u',v') come from one reduce_rows on the columns of the pivots of its
-  submodule V_(u'-1,v') and of its basis, against the submodule's rows on
-  those columns.  The pivot entries there are those of V_(u'-1,v'), so the
-  coordinates are the exact ones times the L of V_(u'-1,v'), a factor fixed
-  by the target component and shared by every source that maps into it.
+  (u',v') come from one quotient_coords: the images reduced modulo its
+  submodule V_(u'-1,v') and read at the pivots of its basis, which is L
+  times the exact reduction with L that of V_(u'-1,v').  So the
+  coordinates are the exact ones times a factor fixed by the target
+  component and shared by every source that maps into it.
 Every Koszul differential is therefore the exact one with each source row
 scaled by its c_l and each target component's columns by its L, and every
 rank is unchanged.  A factor chosen per row of W would break this: one
@@ -350,12 +350,10 @@ class _KoszulModule:
     def _maps_into(self, u, v):
         """Builds the matrix of every variable into component (u,v) at once.
 
-        The images of all source bases are stacked and reduced once against
-        the full echelon of V_(u,v): a nonzero residual is an image outside
-        the target.  The coordinates are read from the columns of the
-        submodule's and the basis's pivots only: with the submodule
-        re-indexed to pivots 0..k-1, reduce_rows on those columns gives
-        the same numbers as the reduction of whole rows, column by column.
+        The images of all source bases are stacked and passed to
+        field.quotient_coords once: None means an image outside V_(u,v),
+        and otherwise it gives the images modulo the submodule, read at the
+        basis's pivots.
         """
         field = self.field
         sub, basis = self._component(u, v)
@@ -364,13 +362,10 @@ class _KoszulModule:
             src = self._component(u - du, v - dv)[1]
             keys.append(((z, u - du, v - dv), len(src.pivots)))
             images.append(src.rows if scale is None else field.multiply(src.rows, scale))
-        w = np.concatenate(images)
-        if field.reduce_rows(w, self.spaces.at(u, v)).any():
+        coords = field.quotient_coords(np.concatenate(images), self.spaces.at(u, v), sub,
+                                       basis.pivots)
+        if coords is None:
             raise OracleInconsistency("image escapes the target component")
-        cols = list(sub.pivots + basis.pivots)
-        k = len(sub.pivots)
-        narrow = Echelon(sub.rows[:, cols], tuple(range(k)))
-        coords = field.reduce_rows(w[:, cols], narrow)[:, k:]
         start = 0
         for key, n in keys:
             self._mult[key] = coords[start : start + n]

@@ -90,13 +90,13 @@ def test_random_rank_agreement(field):
         assert field.rank(field_matrix(field, A.tolist())) == expected
 
 
-def test_fields_expose_the_same_eight_methods():
+def test_fields_expose_the_same_nine_methods():
     def methods(field):
         return {n for n in dir(field) if not n.startswith("_") and callable(getattr(field, n))}
 
     assert methods(QQ) == methods(GFP) == {
         "vector", "zeros", "convert_params",
-        "multiply", "rref", "rank", "reduce_rows", "echelon"}
+        "multiply", "rref", "rank", "reduce_rows", "quotient_coords", "echelon"}
 
 
 @pytest.mark.parametrize("field", [QQ, GFP, PrimeField(101)], ids=lambda f: f.name)
@@ -381,9 +381,8 @@ def test_prime_kernel_matches_reference(field):
 
 @pytest.mark.parametrize("p", [101, 2**31 - 1, LARGEST_P])
 def test_prime_product_exact_past_one_chunk(p):
-    # inner dimensions past 2**15 take the chunked path: without the split a
-    # sum of (p-1)**2 products overflows int64 (for the two large p), and
-    # without the chunks one of 2**16 products with the low halves does
+    # inner dimensions past 2**15 are cut into many chunks of 2**10, each
+    # summed in one float64 product and reduced before the next is added
     field = PrimeField(p)
     rng = np.random.default_rng(23)
     full = lambda shape: np.full(shape, p - 1, dtype=np.int64)
@@ -400,12 +399,30 @@ def test_prime_product_exact_past_one_chunk(p):
 
 
 def test_prime_product_exact_in_one_chunk():
-    # an inner dimension of exactly 2**15 is one product of split halves
-    # with no accumulator; every entry p - 1 is its largest sum
+    # an inner dimension of 2**15 is 32 chunks of 2**10 with every entry
+    # p - 1, the largest sum each chunk can take
     for p in (101, 2**31 - 1, LARGEST_P):
         field = PrimeField(p)
         A = np.full((2, 2**15), p - 1, dtype=np.int64)
         assert (field._product(A, A.T.copy()) % p).tolist() == [[2**15 * (p - 1) ** 2 % p] * 2] * 2
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, LARGEST_P])
+def test_prime_product_exact_at_the_float_bound(p):
+    # each chunk of at most 2**10 terms sums limbs below 2**11 times residues
+    # below 2**31.5, so every partial sum stays below 2**53 and float64 holds
+    # it exactly.  Odd residues near p - 1 against entries whose two low
+    # limbs are 2**11 - 1, as either factor, are the largest odd sums: a
+    # chunk of 2**11 rounds some of them
+    field = PrimeField(p)
+    rng = np.random.default_rng(29)
+    for k in (2**10, 2**10 + 1, 2**11, 3 * 2**10 + 7):
+        odd = p - 2 - 2 * rng.integers(0, 50, (2, k))
+        full_limbs = 2**22 - 1 + 2**22 * rng.integers(0, (p - 2**22) // 2**22, (k, 3))
+        for A, B in ((odd, full_limbs), (full_limbs.T.copy(), odd.T.copy())):
+            expected = [[sum(x * y for x, y in zip(row, col)) % p for col in B.T.tolist()]
+                        for row in A.tolist()]
+            assert (field._product(A, B) % p).tolist() == expected, k
 
 
 @pytest.mark.parametrize("field", [PrimeField(101), GFP], ids=lambda f: f.name)
@@ -434,6 +451,60 @@ def test_prime_kernel_edge_shapes(field):
         assert ech.rows.tolist() == ref_rows
         assert field.rank(A) == len(ref_pivots)
         assert A.tolist() == rows
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101), GFP, PrimeField(LARGEST_P)],
+                         ids=lambda f: f.name)
+def test_quotient_coords_matches_two_reductions(field):
+    # quotient_coords(W, ech, sub, cols) against the two reduce_rows it
+    # replaces in the Koszul maps: None when a row of W leaves span(ech),
+    # else reduce_rows(W, sub) read at cols (over QQ with the same factor L).
+    # sub is spanned by combinations of ech's rows, so its pivots are among
+    # ech's but its rows need not be ech's rows
+    rng = random.Random(37)
+    p = field.p or 0
+    big = p - 1 if p else 10**12
+
+    def combos(rows, k, n):
+        """k random combinations of the integer rows, as field elements."""
+        out = [[0] * n for _ in range(k)]
+        for row in out:
+            for basis_row in rows:
+                c = rng.choice((0, 1, -1, big, rng.randint(-big, big)))
+                row[:] = [x + c * y for x, y in zip(row, basis_row)]
+        return field_matrix(field, out) if k else field.zeros(0, n)
+
+    cases = 0
+    for _ in range(120):
+        n = rng.randint(1, 12)
+        gen = [[rng.choice((0, 0, 1, -1, big, rng.randint(-big, big))) for _ in range(n)]
+               for _ in range(rng.randint(0, n))]
+        ech = field.rref(field_matrix(field, gen) if gen else field.zeros(0, n))
+        ech_rows = [[int(x) for x in row] for row in ech.rows.tolist()]
+        sub = field.rref(combos(ech_rows, rng.randint(0, len(ech_rows)), n))
+        assert set(sub.pivots) <= set(ech.pivots)
+        free = [c for c in range(n) if c not in sub.pivots]
+        basis_cols = [c for c in ech.pivots if c not in sub.pivots]
+        for cols in (basis_cols, sorted(rng.sample(free, rng.randint(0, len(free))))):
+            m = rng.randint(0, 6)
+            W = combos(ech_rows, m, n)
+            before = W.copy()
+            got = field.quotient_coords(W, ech, sub, cols)
+            ref = field.reduce_rows(W, sub)[:, cols]
+            assert not field.reduce_rows(W, ech).any()
+            assert got is not None and got.dtype == ref.dtype and got.shape == ref.shape
+            assert (got == ref).all()
+            assert (W == before).all()
+            cases += 1
+            # one row outside span(ech) among rows inside it gives None
+            if len(ech.pivots) < n:
+                out = field_matrix(field, [[rng.randint(1, 9) for _ in range(n)]])
+                if field.reduce_rows(out, ech).any():
+                    at = rng.randint(0, m)
+                    Wout = np.concatenate((W[:at], out, W[at:]))
+                    assert field.quotient_coords(Wout, ech, sub, cols) is None
+                    cases += 1
+    assert cases > 250
 
 
 def test_field_by_name_rejects_bad_modulus():
@@ -476,8 +547,9 @@ def _echelon_rows(rng, pivots, n, p):
 
 def test_prime_unreduced_product_at_its_bound():
     # reduce_rows subtracts a product that is reduced only as far as int64
-    # needs; at an inner dimension of 2**15 with every entry p - 1 for the
-    # largest p it still lies in [0, 2**63) and is congruent to the exact one
+    # needs; at an inner dimension of 2**15 (chunked) with every entry p - 1
+    # for the largest p it still lies in [0, 2**63) and is congruent to the
+    # exact one
     p = LARGEST_P
     field = PrimeField(p)
     A = np.full((2, 2**15), p - 1, dtype=np.int64)

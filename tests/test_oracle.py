@@ -27,7 +27,7 @@ from biproj.oracle import (
     verify_separator,
 )
 from biproj.resolution import acm_resolution, removal_plan, remove_points, separator_for
-from test_fields import _canonical, field_matrix
+from test_fields import LARGEST_P, _canonical, field_matrix
 
 
 @pytest.mark.parametrize("field", [QQ, GFP])
@@ -525,11 +525,12 @@ def _old_mult(module, z, u, v):
     return field.reduce_rows(w, sub)[:, list(basis.pivots)]
 
 
-@pytest.mark.parametrize("field", [QQ, GFP, PrimeField(101)], ids=lambda f: f.name)
+@pytest.mark.parametrize("field", [QQ, GFP, PrimeField(101), PrimeField(LARGEST_P)],
+                         ids=lambda f: f.name)
 def test_maps_per_target_match_whole_row_reduction(field):
-    # every matrix built per target component, from the pivot columns alone,
-    # equals the whole-row reduction entry for entry (over QQ the factor L
-    # of the target's submodule is the same in both)
+    # every matrix built per target component by quotient_coords equals the
+    # whole-row reduction entry for entry (over QQ the factor L of the
+    # target's submodule is the same in both)
     for g in _chain_schemes():
         for reduced in (True, False):
             module = _KoszulModule(_Spaces(g, field), reduced)
@@ -633,14 +634,15 @@ def test_verify_separator_refuses_lines_that_collide_mod_p():
 
 @pytest.mark.parametrize("field", [GFP, PrimeField(101)], ids=lambda f: f.name)
 def test_prime_elimination_gets_residues_only(field, monkeypatch):
-    # PrimeField.rref and reduce_rows take residues in [0, p), and the int64
-    # bound of PrimeField._product rests on it: no oracle entry point passes
-    # them anything else
+    # PrimeField.rref, reduce_rows and quotient_coords take residues in
+    # [0, p), and the float64 bound of PrimeField._product rests on it: no
+    # oracle entry point passes them anything else
     from biproj.formats import parse_configuration
     from test_formats_cli import non_acm_corpus
 
     calls = Counter()
-    rref, reduce_rows = PrimeField.rref, PrimeField.reduce_rows
+    rref, reduce_rows, quotient_coords = (PrimeField.rref, PrimeField.reduce_rows,
+                                          PrimeField.quotient_coords)
 
     def residues(name, p, *matrices):
         for M in matrices:
@@ -655,7 +657,12 @@ def test_prime_elimination_gets_residues_only(field, monkeypatch):
         residues("reduce_rows", self.p, W, ech.rows)
         return reduce_rows(self, W, ech)
 
+    def checked_quotient_coords(self, W, ech, sub, cols):
+        residues("quotient_coords", self.p, W, ech.rows, sub.rows)
+        return quotient_coords(self, W, ech, sub, cols)
+
     monkeypatch.setattr(PrimeField, "rref", checked_rref)
+    monkeypatch.setattr(PrimeField, "quotient_coords", checked_quotient_coords)
     monkeypatch.setattr(PrimeField, "reduce_rows", checked_reduce_rows)
     grids = _chain_schemes() + _rational_corpus() + [parse_configuration(c) for c in non_acm_corpus(24)]
     refused = 0
@@ -675,4 +682,4 @@ def test_prime_elimination_gets_residues_only(field, monkeypatch):
                 continue
             assert verify_separator(sep, g.without(pos), pos, field)
     assert refused == (2 if field.p == 101 else 0)
-    assert calls["rref"] and calls["reduce_rows"]
+    assert calls["rref"] and calls["reduce_rows"] and calls["quotient_coords"]
