@@ -67,7 +67,7 @@ def _emit(args, obj, text):
 
 
 def _resolve_field(args):
-    name = getattr(args, "field", None) or os.environ.get("BIPROJ_FIELD")
+    name = args.field or os.environ.get("BIPROJ_FIELD")
     if not name:
         return None
     from .fields import field_by_name
@@ -104,7 +104,7 @@ def _hilbert_matrix(args, grid):
     if args.oracle:
         from . import oracle
 
-        return oracle.hilbert_oracle(grid, _resolve_field(args))
+        return oracle.hilbert_oracle(grid, args.field)
     try:
         return hilbert_acm(grid)
     except NotACM:
@@ -191,7 +191,6 @@ def _parse_removals(args):
 
 def cmd_resolution(args):
     grid = _load(args)
-    field = _resolve_field(args)
     pts = _parse_removals(args)
     # the empty plan is the ACM case; with none, the oracle reads X, ACM or not
     res = remove_points(grid, pts) if pts or args.method != "oracle" else None
@@ -215,7 +214,7 @@ def cmd_resolution(args):
     else:
         from . import oracle
 
-        table, source = oracle.betti_oracle(grid_final, field), "oracle"
+        table, source = oracle.betti_oracle(grid_final, args.field), "oracle"
 
     obj = formats.betti_to_json(table, source, certified)
     lines = [formats.render_betti(table)]
@@ -237,7 +236,7 @@ def cmd_resolution(args):
             from . import oracle
             from .fields import QQ, default_field
 
-            oracle_field = field or default_field(grid_final.npoints)
+            oracle_field = args.field or default_field(grid_final.npoints)
             reference = oracle.betti_oracle(grid_final, oracle_field)
             if reference.counters() != table.counters() and oracle_field.kind == "prime":
                 reference = oracle.betti_oracle(grid_final, QQ)  # rule out unlucky prime
@@ -317,11 +316,10 @@ def cmd_fuzz(args):
     import numpy as np
 
     rng = np.random.default_rng(args.seed)
-    field = _resolve_field(args)
     failures = []
     for case in range(args.cases):
         grid = random_staircase(rng, args.max_rows, args.max_cols)
-        problem = _fuzz_one(grid, rng, args.max_removals, field)
+        problem = _fuzz_one(grid, rng, args.max_removals, args.field)
         if problem:
             failures.append("case %d: %s" % (case, problem))
     obj = {"cases": args.cases, "seed": args.seed, "failures": failures}
@@ -383,7 +381,8 @@ def main(argv=None):
     except SystemExit as e:
         return e.code or EXIT_OK
     try:
-        _resolve_field(args)  # reject a bad field name even if the command never uses it
+        # the field object replaces its name, so a bad name fails even where unused
+        args.field = _resolve_field(args)
         return args.func(args)
     except (CollinearRemoval, NotInterior) as e:
         _err(type(e).__name__, e)
@@ -400,6 +399,9 @@ def main(argv=None):
 
 
 def entry():
+    # the prime field's float64 products gain nothing from a second BLAS
+    # thread; set before numpy loads, and a value already set wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

@@ -255,18 +255,10 @@ class Rationals:
         """L times W reduced modulo sub, read at the columns cols, with L the
         lcm of sub's pivot entries; None if a row of W leaves the span of
         ech.  sub's pivots must be among ech's.
-
-        The first reduce_rows is the escape check against ech.  The second
-        reads only the columns of sub's pivots and of cols: with sub
-        re-indexed to pivots 0..k-1 it gives the same numbers as the
-        reduction of whole rows, column by column, and the same L.
         """
         if self.reduce_rows(W, ech).any():
             return None
-        wide = list(sub.pivots) + list(cols)
-        k = len(sub.pivots)
-        narrow = Echelon(sub.rows[:, wide], tuple(range(k)))
-        return self.reduce_rows(W[:, wide], narrow)[:, k:]
+        return self.reduce_rows(W, sub)[:, list(cols)]
 
     def echelon(self, rows, pivots):
         """The canonical integer form of reduced rows with the given pivots:

@@ -12,8 +12,9 @@ Value spaces (proof in _Spaces).  On the full grid the reduced echelon rows
 of V_(u,v) are the products R_u[a] (x) S_v[b] of the rrefs of the row and
 column Vandermonde matrices, each written down as products of lines, the
 split curves of the paper (proof in _vandermonde_rrefs).  On the points
-only the products whose pivot is a hole are eliminated: each cell costs one
-small hole elimination.  _Spaces builds the grid's own index range u < nr,
+only the products whose pivot is a hole are eliminated: they vanish on the
+points of their box, so each cell costs one small hole elimination whose
+pivots lie outside it.  _Spaces builds the grid's own index range u < nr,
 v < nc once and reads every wider cell through the clamp
 V_(u,v) = V_(min(u,nr-1), min(v,nc-1)) (proof in betti_oracle).  Hilbert
 matrices and drop sets are reported on (nr+1, nc+1), the window of
@@ -128,8 +129,9 @@ class _Spaces:
     - a kept row, whose pivot (a,b) is a point, keeps that pivot and is 0 on
       the box's other points;
     - a hole row, whose pivot is a hole, is 0 on all the box's points.
-    So only the hole rows are eliminated, on the points outside the box.
-    Their pivots lie outside the box, and one reduce_rows clears them from
+    So only the hole rows are eliminated.  Their columns at the box's points
+    are zero, and an elimination takes no pivot in a zero column, so their
+    rref's pivots lie outside the box, and one reduce_rows clears them from
     the kept rows.  That leaves each kept row's box entries as they were,
     and its entries before its pivot 0: a hole pivot before it has
     coefficient 0 there.  Merged by pivot, the kept and hole rows are
@@ -163,8 +165,6 @@ class _Spaces:
         rvals = [r[:, pa] for r in _vandermonde_rrefs(field, [ts[i] for i in rows], "row")]
         svals = [s[:, pb] for s in _vandermonde_rrefs(field, [us[j] for j in cols], "column")]
         self.ech = {}
-        rout = [pa > u for u in range(nr)]
-        cout = [pb > v for v in range(nc)]
         for u in range(nr):
             for v in range(nc):
                 box = index[: u + 1, : v + 1]
@@ -172,14 +172,9 @@ class _Spaces:
                 pivots = kept.tolist()
                 ech = field.multiply(rvals[u][pa[kept]], svals[v][pb[kept]])
                 ha, hb = (box < 0).nonzero()
-                outside = (rout[u] | cout[v]).nonzero()[0]
                 hole = self.empty
-                if ha.size and outside.size:
-                    hole = field.rref(field.multiply(rvals[u][ha][:, outside],
-                                                     svals[v][hb][:, outside]))
-                    hrows = field.zeros(len(hole.pivots), npts)
-                    hrows[:, outside] = hole.rows
-                    hole = Echelon(hrows, tuple(outside[list(hole.pivots)].tolist()))
+                if ha.size:
+                    hole = field.rref(field.multiply(rvals[u][ha], svals[v][hb]))
                     # only the kept rows with an entry at a hole pivot change
                     hit = (ech[:, list(hole.pivots)] != 0).any(axis=1).nonzero()[0]
                     if hit.size:

@@ -206,10 +206,13 @@ class RemovalPlan:
 def removal_plan(grid, points):
     """Validates and normalizes a removal plan against its grid.
 
-    Points must be pairwise non-collinear (distinct rows AND columns) and
-    interior; order is normalized to ascending (q, p).
+    Points must be listed once, pairwise non-collinear (distinct rows AND
+    columns) and interior; order is normalized to ascending (q, p).
     """
     points = [tuple(p) for p in points]
+    for p, n in Counter(points).items():
+        if n > 1:
+            raise PointNotInScheme("point (%d,%d) is listed twice in the plan" % p)
     classes = {pc.position: pc for pc in classify_points(grid)}
     seen_rows, seen_cols = {}, {}
     for (i, j) in points:

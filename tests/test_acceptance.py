@@ -7,12 +7,14 @@ from conftest (200 ACM staircases, 100 removal pairs, sizes up to 7x7).
 
 import time
 from collections import Counter
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from biproj.errors import CollinearRemoval, OracleInconsistency
 from biproj.fields import GFP, QQ
-from biproj.grid import classify_points, staircase
+from biproj.grid import PointGrid, classify_points, staircase
 from biproj.hilbert import check_T0, delta, hilbert_acm, puncture_hilbert
 from biproj.oracle import (
     betti_oracle,
@@ -37,6 +39,7 @@ from conftest import (
     BIG_Z_BETA1,
     BIG_Z_BETA2,
     BIG_Z_DELTA,
+    SEED,
     TWO_ROW_Z_DELTA,
 )
 
@@ -148,6 +151,44 @@ def test_criterion_6_removal_equivalence_corpus(corpus):
             cur = cur.without(sep.point)
     assert not mismatches, mismatches[:5]
     print("CRITERION 6 PASS: %d removal pairs, 0 mismatches" % len(cases))
+
+
+def test_criterion_6_scrambled_removal_corpus(corpus):
+    # criterion 6 on every 4th removal case with its lines relabelled by a
+    # seeded permutation, its plan mapped along, and non-integer parameters
+    # drawn as in test_oracle._chain_schemes; the table must be the
+    # unscrambled one, and QQ joins GF(p) up to 30 points
+    from biproj.oracle import verify_separator
+
+    rng = np.random.default_rng(SEED + 6)
+
+    def params(n):
+        return [int(m) - 4 + Fraction(1, 2 + int(m) % 3) for m in rng.permutation(9)[:n]]
+
+    cases = corpus["removal"][::4]
+    mismatches = []
+    for k, case in enumerate(cases):
+        g = case["grid"]
+        nr, nc = g.shape
+        rp, cp = rng.permutation(nr), rng.permutation(nc)
+        x = PointGrid.from_points(nr, nc, [(int(rp[i]), int(cp[j])) for i, j in g.points()],
+                                  row_params=params(nr), col_params=params(nc))
+        res = remove_points(x, [(int(rp[i]), int(cp[j])) for i, j in case["plan"].points])
+        tables = [res.betti, betti_from_delta(delta(res.hilbert)), betti_oracle(res.grid_z, GFP)]
+        if res.grid_z.npoints <= 30:
+            tables.append(betti_oracle(res.grid_z, QQ))
+        want = case["result"].betti.counters()
+        if any(t.counters() != want for t in tables):
+            mismatches.append((k, "betti"))
+            continue
+        cur = x
+        for sep in res.separators:
+            cur = cur.without(sep.point)
+            if not all(verify_separator(sep, cur, sep.point, f) for f in (QQ, GFP)):
+                mismatches.append((k, "separator", sep.point))
+    assert len(cases) >= 25
+    assert not mismatches, mismatches[:5]
+    print("CRITERION 6 PASS: %d scrambled removal pairs, 0 mismatches" % len(cases))
 
 
 def test_criterion_7_structural_invariants(corpus, big_staircase, two_row):

@@ -301,6 +301,16 @@ def test_cli_resolution_repeated_remove_flags_accumulate(capsys, fixtures_dir):
     assert json.loads(err)["error"] == "CollinearRemoval"
 
 
+def test_cli_resolution_point_in_remove_and_plan_exit1(capsys, fixtures_dir):
+    # a point given by --remove and again by the plan is a bad plan, not a
+    # collinear pair
+    code, out, err = run_cli(capsys, "resolution", str(fixtures_dir / "e1_X.json"),
+                             "--remove", "0,4", "--plan", str(fixtures_dir / "e1_plan.json"))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "PointNotInScheme",
+                               "message": "point (0,4) is listed twice in the plan"}
+
+
 def test_cli_resolution_not_interior_exit3(capsys, fixtures_dir):
     code, _, err = run_cli(capsys, "resolution", str(fixtures_dir / "e3_X.json"),
                            "--remove", "1,1")

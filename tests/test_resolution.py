@@ -154,6 +154,17 @@ def test_removal_plan_orders_by_degree(big_staircase):
     assert dict(plan.multiplicity) == {(3, 6): 2, (4, 4): 1, (5, 2): 1, (5, 6): 1}
 
 
+def test_removal_plan_rejects_repeated_point(big_staircase):
+    # checked before the collinearity scan, which would call the point
+    # collinear with itself
+    with pytest.raises(PointNotInScheme) as exc:
+        removal_plan(big_staircase, [(0, 4), (1, 3), (0, 4)])
+    assert str(exc.value) == "point (0,4) is listed twice in the plan"
+    with pytest.raises(PointNotInScheme) as exc:
+        remove_points(big_staircase, [(2, 1), (2, 1)])
+    assert str(exc.value) == "point (2,1) is listed twice in the plan"
+
+
 def test_removal_plan_rejections(big_staircase, two_row):
     with pytest.raises(CollinearRemoval) as exc:
         removal_plan(two_row, [(0, 0), (0, 1)])
