@@ -8,7 +8,7 @@ Bidegrees are plain (i, j) tuples ordered componentwise; "strictly below"
 always means strict in BOTH components.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from numbers import Integral
@@ -25,12 +25,12 @@ MAX_GRID_CELLS = 2**20
 def derived(grid, key, build):
     """build(grid), computed once per PointGrid instance.
 
-    A PointGrid is frozen and holds only tuples, so everything derived from
-    it stays valid for the instance's life.  The value sits in the instance
-    __dict__ beside the fields, the write functools.cached_property makes on
-    a frozen dataclass, so ==, hash and repr never see it.  A build that
-    raises stores nothing: the same error is raised again on the next call.
-    Callers copy what they hand out when it is mutable.
+    A PointGrid is a namedtuple of tuples, so everything derived from it
+    stays valid for the instance's life.  The value sits in the instance
+    __dict__, which PointGrid alone among the records keeps (it declares
+    no __slots__); ==, hash and repr are the tuple's and never see it.  A
+    build that raises stores nothing: the same error is raised again on
+    the next call.  Callers copy what they hand out when it is mutable.
     """
     memo = grid.__dict__.setdefault("_derived", {})
     if key not in memo:
@@ -43,35 +43,40 @@ def strictly_below(d1, d2):
     return d1[0] < d2[0] and d1[1] < d2[1]
 
 
-@dataclass(frozen=True)
-class PointGrid:
+class PointGrid(namedtuple("PointGrid", "incidence row_params col_params")):
     """Valid by construction: at least one row and one column, rectangular
     incidence, one exact (see _exact), pairwise distinct parameter per line.
-    Empty lines and an empty scheme are allowed; validate reports them."""
+    Empty lines and an empty scheme are allowed; validate reports them.
 
-    incidence: tuple        # (a+1) rows of (b+1) bools
-    row_params: tuple       # affine parameter t_i of line R_i, pairwise distinct
-    col_params: tuple       # affine parameter u_j of line C_j
+    incidence: (a+1) rows of (b+1) bools
+    row_params: affine parameter t_i of line R_i, pairwise distinct
+    col_params: affine parameter u_j of line C_j
 
-    def __post_init__(self):
+    No __slots__: derived keeps its memo in the instance __dict__.
+    """
+
+    def __new__(cls, incidence, row_params, col_params):
         inc = tuple(_sequence(row, "incidence row")
-                    for row in _sequence(self.incidence, "incidence"))
+                    for row in _sequence(incidence, "incidence"))
         if not inc or not inc[0]:
             raise InvalidGrid("grid must have at least one row and one column")
         nc = len(inc[0])
         if any(len(row) != nc for row in inc):
             raise InvalidGrid("ragged incidence matrix")
-        rows = tuple(map(_exact, _sequence(self.row_params, "row_params")))
-        cols = tuple(map(_exact, _sequence(self.col_params, "col_params")))
+        rows = tuple(map(_exact, _sequence(row_params, "row_params")))
+        cols = tuple(map(_exact, _sequence(col_params, "col_params")))
         for name, params, n in (("row", rows, len(inc)), ("col", cols, nc)):
             if len(params) != n:
                 raise InvalidGrid("%s_params has %d entries for %d lines"
                                   % (name, len(params), n))
             if len(set(params)) != n:
                 raise InvalidGrid("duplicate %s line parameters" % name)
-        object.__setattr__(self, "incidence", inc)
-        object.__setattr__(self, "row_params", rows)
-        object.__setattr__(self, "col_params", cols)
+        return super().__new__(cls, inc, rows, cols)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Validates, so _replace does too."""
+        return cls(*iterable)
 
     @staticmethod
     def from_points(nrows, ncols, points, row_params=None, col_params=None):
@@ -172,9 +177,8 @@ def staircase(lengths, ncols=None, **kw):
     return PointGrid.from_points(len(lengths), ncols, pts, **kw)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple
+class ValidationReport(namedtuple("ValidationReport", "violations")):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -228,11 +232,12 @@ def is_staircase(grid):
     return True
 
 
-@dataclass(frozen=True)
-class NormalizedGrid:
-    grid: PointGrid
-    row_perm: tuple     # row_perm[k] = original index of the row now at k
-    col_perm: tuple
+class NormalizedGrid(namedtuple("NormalizedGrid", "grid row_perm col_perm")):
+    """grid: the PointGrid with its lines sorted
+    row_perm: row_perm[k] = original index of the row now at k
+    col_perm: the same for columns"""
+
+    __slots__ = ()
 
 
 def normalize(grid):
@@ -328,12 +333,13 @@ class PointKind(Enum):
     BOUNDARY = "boundary"
 
 
-@dataclass(frozen=True)
-class PointClass:
-    position: tuple     # (i, j) in the grid's own coordinates
-    kind: PointKind
-    row_count: int      # p+1 = #(X cap R_i)
-    col_count: int      # q+1 = #(X cap C_j)
+class PointClass(namedtuple("PointClass", "position kind row_count col_count")):
+    """position: (i, j) in the grid's own coordinates
+    kind: a PointKind
+    row_count: p+1 = #(X cap R_i)
+    col_count: q+1 = #(X cap C_j)"""
+
+    __slots__ = ()
 
     @property
     def separating_degree(self):

@@ -13,7 +13,7 @@ else here computes on the tuples, so numpy is imported only by `entries`,
 check_T0 and the delta_row/delta_col views.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate as _prefix_sums
 from itertools import chain
 from operator import add, index, le, sub
@@ -70,15 +70,15 @@ def _ndarray(rows):
     return arr
 
 
-@dataclass(frozen=True)
-class HilbertMatrix:
-    rows: tuple             # m_ij on the window, one tuple of ints per row
-    degree: int             # deg X, the stable value
+class HilbertMatrix(namedtuple("HilbertMatrix", "rows degree")):
+    """rows: m_ij on the window, one tuple of ints per row
+    degree: deg X, the stable value"""
 
-    def __post_init__(self):
-        rows = _freeze(self.rows)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "degree", _integer(self.degree, "degree"))
+    __slots__ = ()
+
+    def __new__(cls, rows, degree):
+        rows = _freeze(rows)
+        degree = _integer(degree, "degree")
         # with monotonicity, 0 <= m_00 makes every entry nonnegative
         if len(rows) < 2 or len(rows[0]) < 2 or not 0 <= rows[0][0] <= 1:
             raise InvalidMatrix("Hilbert matrix needs a 2x2 window and 0 <= m_00 <= 1")
@@ -87,9 +87,15 @@ class HilbertMatrix:
             raise InvalidMatrix("Hilbert matrix is not monotone")
         # the window must reach the stable region, whose value is the degree
         if rows[-1] != rows[-2] or any(row[-1] != row[-2] for row in rows) \
-                or rows[-1][-1] != self.degree:
+                or rows[-1][-1] != degree:
             raise InvalidMatrix("Hilbert matrix window does not reach the stable value %d"
-                                % self.degree)
+                                % degree)
+        return super().__new__(cls, rows, degree)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Validates, so _replace does too."""
+        return cls(*iterable)
 
     @property
     def entries(self):
@@ -107,13 +113,19 @@ class HilbertMatrix:
         return self.rows[min(i, wi)][min(j, wj)]
 
 
-@dataclass(frozen=True)
-class DeltaMatrix:
-    rows: tuple             # c_ij on the window; zero outside
+class DeltaMatrix(namedtuple("DeltaMatrix", "rows")):
+    """rows: c_ij on the window; zero outside"""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, rows):
         # permissive by design: check_T0 must accept arbitrary matrices
-        object.__setattr__(self, "rows", _freeze(self.rows))
+        return super().__new__(cls, _freeze(rows))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Validates, so _replace does too."""
+        return cls(*iterable)
 
     @property
     def entries(self):

@@ -9,8 +9,7 @@ class (and deliberately still answers outside it, where the oracle is the
 only way to notice the answer is wrong).
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import accumulate
 
 from .errors import (
@@ -59,13 +58,10 @@ def _canon(entries):
     return tuple(sorted(c.items(), key=lambda kv: (-kv[0][0], kv[0][1])))
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(namedtuple("BettiTable", "beta0 beta1 beta2")):
     """Shifts (p,q) of the summands O_Q(-p,-q) in each homological spot."""
 
-    beta0: tuple
-    beta1: tuple
-    beta2: tuple
+    __slots__ = ()
 
     @staticmethod
     def make(b0, b1=(), b2=()):
@@ -144,11 +140,12 @@ def acm_resolution(grid):
     return table
 
 
-@dataclass(frozen=True)
-class Separator:
-    point: tuple        # (h, k), the separated point
-    degree: tuple       # (r, s) = (#row lines, #col lines)
-    lines: tuple        # ("R", i) / ("C", j) entries, rows first
+class Separator(namedtuple("Separator", "point degree lines")):
+    """point: (h, k), the separated point
+    degree: (r, s) = (#row lines, #col lines)
+    lines: ("R", i) / ("C", j) entries, rows first"""
+
+    __slots__ = ()
 
 
 def separator_for(grid, point):
@@ -175,15 +172,13 @@ def separator_for(grid, point):
     return Separator(point=(h, k), degree=(len(rows), len(cols)), lines=lines)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(namedtuple("ConditionReport",
+                                 "degree cond2_violations cond3_violations")):
     """Mapping-cone step conditions for a removal in degree (r,s):
     (2) no generator shift strictly dominates (r,s);
     (3) no first-syzygy shift equals (r+1,s+1)."""
 
-    degree: tuple
-    cond2_violations: tuple
-    cond3_violations: tuple
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -196,11 +191,12 @@ def check_mapping_cone_conditions(current, r, s):
     return ConditionReport(degree=(r, s), cond2_violations=c2, cond3_violations=c3)
 
 
-@dataclass(frozen=True)
-class RemovalPlan:
-    points: tuple       # normalized order
-    degrees: tuple      # (q_l, p_l) per point, ascending lexicographically
-    multiplicity: tuple # ((i,j), r_ij) pairs
+class RemovalPlan(namedtuple("RemovalPlan", "points degrees multiplicity")):
+    """points: in normalized order
+    degrees: (q_l, p_l) per point, ascending lexicographically
+    multiplicity: ((i,j), r_ij) pairs"""
+
+    __slots__ = ()
 
 
 def removal_plan(grid, points):
@@ -243,14 +239,16 @@ def removal_plan(grid, points):
     )
 
 
-@dataclass(frozen=True)
-class RemovalResult:
-    grid_z: object
-    betti: BettiTable
-    separators: tuple
-    plan: RemovalPlan
-    conditions: tuple   # one ConditionReport per removal step
-    hilbert: object     # M_Z
+class RemovalResult(namedtuple("RemovalResult",
+                               "grid_z betti separators plan conditions hilbert")):
+    """grid_z: the PointGrid of Z
+    betti: its BettiTable
+    separators: one Separator per removal step
+    plan: the RemovalPlan
+    conditions: one ConditionReport per removal step
+    hilbert: M_Z"""
+
+    __slots__ = ()
 
 
 def remove_points(grid, plan):

@@ -1,4 +1,4 @@
-"""numpy loads only behind the oracle.
+"""numpy loads only behind the oracle, and dataclasses and inspect never.
 
 Each check runs in a fresh interpreter, because the test process itself
 has imported the oracle (and numpy) long before.
@@ -14,19 +14,22 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# prints {step: [exit code or None, numpy loaded after the step]}
+# prints {step: [exit code or None, then whether numpy, dataclasses and
+# inspect are loaded after the step]}
 PROBE = """
 import contextlib, io, json, sys
 steps = {}
+def loaded():
+    return [name in sys.modules for name in ("numpy", "dataclasses", "inspect")]
 import biproj, biproj.formats
-steps["import biproj, biproj.formats"] = [None, "numpy" in sys.modules]
+steps["import biproj, biproj.formats"] = [None] + loaded()
 from biproj import cli
-steps["import biproj.cli"] = [None, "numpy" in sys.modules]
+steps["import biproj.cli"] = [None] + loaded()
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(argv)
     json.loads(out.getvalue())
-    steps[" ".join(argv)] = [code, "numpy" in sys.modules]
+    steps[" ".join(argv)] = [code] + loaded()
 print(json.dumps(steps))
 """
 
@@ -54,14 +57,28 @@ def _run(code, *args):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _probe(commands):
+def _probe_modules(commands):
+    """{step: [exit code or None, numpy, dataclasses, inspect loaded]}"""
     return _run(PROBE, json.dumps([argv + ["--format", "json"] for argv in commands]))
+
+
+def _probe(commands):
+    """{step: [exit code or None, numpy loaded]}"""
+    return {step: seen[:2] for step, seen in _probe_modules(commands).items()}
 
 
 def test_combinatorial_commands_never_load_numpy():
     steps = _probe(COMBINATORIAL)
     assert len(steps) == 2 + len(COMBINATORIAL)
     assert all(code in (None, 0) and not loaded for code, loaded in steps.values()), steps
+
+
+def test_records_never_load_dataclasses_or_inspect():
+    # the records are namedtuples; dataclasses would also load inspect,
+    # ast, dis and tokenize into every start
+    steps = _probe_modules(COMBINATORIAL)
+    assert len(steps) == 2 + len(COMBINATORIAL)
+    assert all(seen[2:] == [False, False] for seen in steps.values()), steps
 
 
 @pytest.mark.parametrize("argv", [

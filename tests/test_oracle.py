@@ -578,12 +578,10 @@ def test_verify_separator(two_row):
     assert verify_separator(sep, z, (0, 1))
     assert verify_separator(sep, z, (0, 1), field=PrimeField(10007))
     # swap in a line through the removed point: no longer a separator
-    import dataclasses
-
-    bad = dataclasses.replace(sep, lines=(("R", 1), ("C", 0), ("C", 1), ("C", 3)))
+    bad = sep._replace(lines=(("R", 1), ("C", 0), ("C", 1), ("C", 3)))
     assert not verify_separator(bad, z, (0, 1))
     # wrong degree bookkeeping is rejected before any evaluation
-    bad2 = dataclasses.replace(sep, degree=(2, 2))
+    bad2 = sep._replace(degree=(2, 2))
     assert not verify_separator(bad2, z, (0, 1))
 
 
@@ -593,8 +591,6 @@ def test_verify_separator_rational_params(field):
     # Fraction parameters; the lines are evaluated in the field, on the
     # parameters convert_params gives.  Swapping the first line for the one
     # through the point must fail.
-    import dataclasses
-
     _, g = _scrambled_removal()
     checked = 0
     for pos in g.points():
@@ -606,7 +602,7 @@ def test_verify_separator_rational_params(field):
         assert verify_separator(sep, rest, pos, field), pos
         kind = sep.lines[0][0]
         through = (kind, pos[0] if kind == "R" else pos[1])
-        bad = dataclasses.replace(sep, lines=(through,) + sep.lines[1:])
+        bad = sep._replace(lines=(through,) + sep.lines[1:])
         assert not verify_separator(bad, rest, pos, field), pos
         checked += 1
     assert checked  # four of the twelve points
